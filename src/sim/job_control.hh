@@ -4,14 +4,16 @@
  * simulation job.
  *
  * A JobControl is shared between the worker thread executing a job and
- * the runner's monitor thread.  The worker publishes progress (one
- * increment per simulated reference) and the phase it is in; the
- * monitor watches progress and requests cancellation when it stops
- * advancing for longer than the watchdog timeout, or when the process
- * received SIGINT/SIGTERM.  The simulation loop checkpoints the cancel
- * flag every reference, so a cancelled job unwinds within microseconds
- * of the request — a hang becomes a structured timeout failure instead
- * of a stuck worker pool.
+ * the runner's monitor thread.  The worker publishes progress (the
+ * simulated references retired, in batches of
+ * System::kControlPollRefs) and the phase it is in; the monitor watches
+ * progress and requests cancellation when it stops advancing for longer
+ * than the watchdog timeout, or when the process received
+ * SIGINT/SIGTERM.  The simulation loop checkpoints the cancel flag
+ * every System::kControlPollRefs references (about a millisecond of
+ * host time, well inside the monitor's 20 ms tick), so a cancelled job
+ * unwinds soon after the request — a hang becomes a structured timeout
+ * failure instead of a stuck worker pool.
  */
 
 #ifndef BEAR_SIM_JOB_CONTROL_HH

@@ -78,9 +78,12 @@ struct SystemConfig
     /**
      * Cooperative cancellation hook (not owned).  When set, run()
      * publishes forward progress here and checkpoints the cancel flag
-     * every simulated reference, throwing JobCancelled once a cancel is
-     * requested — the mechanism behind the runner's watchdog timeout
-     * and SIGINT/SIGTERM drain (DESIGN.md §11).  Null: no overhead.
+     * before its first reference and then every
+     * System::kControlPollRefs references, throwing JobCancelled once
+     * a cancel is requested — the mechanism behind the runner's
+     * watchdog timeout and SIGINT/SIGTERM drain (DESIGN.md §11).  A
+     * run that returns has published all of its references.  Null: no
+     * overhead.
      */
     JobControl *control = nullptr;
 };
@@ -139,6 +142,9 @@ class System
     System(const SystemConfig &config,
            std::vector<std::unique_ptr<RefStream>> streams);
     ~System();
+
+    /** References between two SystemConfig::control checkpoints. */
+    static constexpr std::uint64_t kControlPollRefs = 1024;
 
     /** Advance every core by @p refs_per_core references. */
     void run(std::uint64_t refs_per_core);

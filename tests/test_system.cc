@@ -226,3 +226,95 @@ INSTANTIATE_TEST_SUITE_P(
                       "omnetpp", "bwaves", "gcc", "sphinx3", "GemsFDTD",
                       "leslie3d", "wrf", "cactusADM", "zeusmp", "bzip2",
                       "xalancbmk"));
+
+namespace
+{
+
+/**
+ * Counts references handed to the System across all cores, and
+ * requests a cancel from inside the @p cancel_at-th one (never if 0).
+ */
+class CountingStream : public RefStream
+{
+  public:
+    CountingStream(std::unique_ptr<RefStream> inner, std::uint64_t &count,
+                   JobControl &control, std::uint64_t cancel_at)
+        : inner_(std::move(inner)), count_(count), control_(control),
+          cancel_at_(cancel_at)
+    {
+    }
+
+    MemRef
+    next() override
+    {
+        if (++count_ == cancel_at_)
+            control_.requestCancel(CancelReason::Interrupt);
+        return inner_->next();
+    }
+
+  private:
+    std::unique_ptr<RefStream> inner_;
+    std::uint64_t &count_;
+    JobControl &control_;
+    std::uint64_t cancel_at_;
+};
+
+/** A 3-core System whose streams count into @p count. */
+std::unique_ptr<System>
+controlledSystem(JobControl &control, std::uint64_t &count,
+                 std::uint64_t cancel_at = 0)
+{
+    std::vector<std::unique_ptr<RefStream>> streams;
+    for (auto &inner : rateStreams("mcf", 3)) {
+        streams.push_back(std::make_unique<CountingStream>(
+            std::move(inner), count, control, cancel_at));
+    }
+    SystemConfig config = testConfig(DesignKind::Bear);
+    config.cores = 3;
+    config.control = &control;
+    return std::make_unique<System>(config, std::move(streams));
+}
+
+} // namespace
+
+TEST(SystemControl, CancelBeforeRunThrowsBeforeAnyRef)
+{
+    JobControl control;
+    std::uint64_t count = 0;
+    auto sys = controlledSystem(control, count);
+    control.requestCancel(CancelReason::Timeout);
+    try {
+        sys->run(1000);
+        FAIL() << "run() ignored a pending cancel";
+    } catch (const JobCancelled &cancelled) {
+        EXPECT_EQ(cancelled.reason, CancelReason::Timeout);
+    }
+    EXPECT_EQ(count, 0u);
+    EXPECT_EQ(control.progress.load(), 0u);
+}
+
+TEST(SystemControl, MidRunCancelStopsWithinOnePollWindow)
+{
+    for (const std::uint64_t k : {1ULL, 1023ULL, 1024ULL, 1025ULL, 5000ULL}) {
+        JobControl control;
+        std::uint64_t count = 0;
+        auto sys = controlledSystem(control, count, k);
+        EXPECT_THROW(sys->run(10000), JobCancelled) << "cancel at " << k;
+        EXPECT_GE(count, k);
+        EXPECT_LE(count, k + 1024) << "cancel at " << k;
+        // Published progress is exactly the refs simulated.
+        EXPECT_EQ(control.progress.load(), count) << "cancel at " << k;
+    }
+}
+
+TEST(SystemControl, CleanRunPublishesEveryRef)
+{
+    JobControl control;
+    std::uint64_t count = 0;
+    auto sys = controlledSystem(control, count);
+    sys->run(1000); // 3000 refs: not a multiple of the poll interval
+    EXPECT_EQ(control.progress.load(), 3000u);
+    sys->run(7);
+    EXPECT_EQ(control.progress.load(), 3021u);
+    EXPECT_EQ(count, 3021u);
+}

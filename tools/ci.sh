@@ -30,11 +30,15 @@
 #      bench_gate compares the fresh micro snapshot against the
 #      committed baseline and fails on a >25% nsPerOp regression of
 #      any benchmark present in both
-#  10. serve smoke (DESIGN.md §16, under the sanitizer build): beard
+#  10. repository benchmark self-test: perfbench/run.py --selftest
+#      builds perfbench/ (which calls the library only through its
+#      public API) and runs every workload at tiny budgets, so an API
+#      change that breaks the benchmark fails here
+#  11. serve smoke (DESIGN.md §16, under the sanitizer build): beard
 #      serves a recorded mcf trace to 8 concurrent bearload tenants;
 #      the served report must diff clean against beard --offline on
 #      the same trace, and SIGTERM must drain the daemon to exit 130
-#  11. chaos serve (DESIGN.md §17, under the sanitizer build): the
+#  12. chaos serve (DESIGN.md §17, under the sanitizer build): the
 #      chaos_serve soak plus a fault-injected beard serving 16
 #      bearload tenants in chaos mode — healthy tenants must stay
 #      byte-identical to the unfaulted offline reference, faulted
@@ -47,12 +51,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
 
-echo "=== [1/11] tier-1 build + tests"
+echo "=== [1/12] tier-1 build + tests"
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}"
 ctest --test-dir build --output-on-failure -j "${jobs}"
 
-echo "=== [2/11] observability smoke (trace_stats + traced run)"
+echo "=== [2/12] observability smoke (trace_stats + traced run)"
 build/tools/trace_stats --selftest
 report="$(mktemp)"
 workdir="$(mktemp -d)"
@@ -61,7 +65,7 @@ BEAR_JSON="${report}" BEAR_TRACE=1024 BEAR_WARMUP=10000 \
     BEAR_MEASURE=5000 build/examples/latency_profile mcf BEAR >/dev/null
 build/tools/trace_stats "${report}" >/dev/null
 
-echo "=== [3/11] trace round-trip smoke (record, dump, replay, diff)"
+echo "=== [3/12] trace round-trip smoke (record, dump, replay, diff)"
 trace="${workdir}/mcf.beartrace"
 BEAR_WARMUP=10000 BEAR_MEASURE=5000 \
     build/tools/trace_record mcf "${trace}" >/dev/null
@@ -74,12 +78,12 @@ BEAR_JSON="${workdir}/replay.jsonl" BEAR_WARMUP=10000 \
 # The replayed report must be byte-identical to the live one.
 diff "${workdir}/live.jsonl" "${workdir}/replay.jsonl"
 
-echo "=== [4/11] ASan+UBSan build + tests"
+echo "=== [4/12] ASan+UBSan build + tests"
 cmake -B build-san -S . -DBEAR_SANITIZE=address,undefined >/dev/null
 cmake --build build-san -j "${jobs}"
 ctest --test-dir build-san --output-on-failure -j "${jobs}"
 
-echo "=== [5/11] chaos smoke (faulted sweep -> partial -> resume)"
+echo "=== [5/12] chaos smoke (faulted sweep -> partial -> resume)"
 chaos_env=(BEAR_WARMUP=10000 BEAR_MEASURE=5000)
 journal="${workdir}/chaos.journal"
 
@@ -110,7 +114,7 @@ env "${chaos_env[@]}" BEAR_JOURNAL="${journal}" \
     build-san/tools/chaos_sweep >/dev/null
 diff "${workdir}/chaos-clean.jsonl" "${workdir}/chaos-final.jsonl"
 
-echo "=== [6/11] ThreadSanitizer (threaded sweep + chaos contract)"
+echo "=== [6/12] ThreadSanitizer (threaded sweep + chaos contract)"
 cmake -B build-tsan -S . -DBEAR_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${jobs}"
 # Drive the worker pool with real contention: every design of the
@@ -136,10 +140,10 @@ BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
     BEAR_JSON="${workdir}/tsan-chaos-final.jsonl" \
     build-tsan/tools/chaos_sweep >/dev/null
 
-echo "=== [7/11] static analysis (bearlint + clang-tidy)"
+echo "=== [7/12] static analysis (bearlint + clang-tidy)"
 tools/lint.sh build
 
-echo "=== [8/11] strict thread-safety build (clang)"
+echo "=== [8/12] strict thread-safety build (clang)"
 if command -v clang++ >/dev/null 2>&1; then
     cmake -B build-strict -S . -DCMAKE_CXX_COMPILER=clang++ \
         -DBEAR_STRICT_WARNINGS=ON >/dev/null
@@ -149,7 +153,7 @@ else
          "-analysis build" >&2
 fi
 
-echo "=== [9/11] benchmark snapshots (Release micro + fig12)"
+echo "=== [9/12] benchmark snapshots (Release micro + fig12)"
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-rel -j "${jobs}"
 # Stash the committed micro snapshot before the bench run overwrites
@@ -193,7 +197,10 @@ else
     echo "bench: no committed BENCH_micro.json baseline; gate skipped"
 fi
 
-echo "=== [10/11] serve smoke under ASan/UBSan (beard + bearload)"
+echo "=== [10/12] repository benchmark self-test (perfbench)"
+python3 perfbench/run.py --selftest
+
+echo "=== [11/12] serve smoke under ASan/UBSan (beard + bearload)"
 serve_trace="${workdir}/serve-mcf.beartrace"
 serve_sock="${workdir}/beard.sock"
 serve_env=(BEAR_WARMUP=4000 BEAR_MEASURE=2000 BEAR_SCALE=0.015625)
@@ -230,7 +237,7 @@ if [[ "${rc}" -ne 130 ]]; then
     exit 1
 fi
 
-echo "=== [11/11] chaos serve under ASan/UBSan (fault injection)"
+echo "=== [12/12] chaos serve under ASan/UBSan (fault injection)"
 # In-process soak first: concurrent tenant waves against injected
 # serve.* faults.  chaos_serve itself asserts the PR 10 invariant —
 # healthy tenants byte-identical to the offline reference, faulted
@@ -241,7 +248,7 @@ build-san/tools/chaos_serve --tenants 16 --rounds 2 >/dev/null
 # Then the real daemon: beard restarted with BEAR_FAULT naming
 # serve.* sites, 16 bearload tenants in chaos mode.  The healthy
 # tenants' shared report must still equal the unfaulted offline
-# reference computed in step 10.
+# reference computed in step 11.
 chaos_sock="${workdir}/beard-chaos.sock"
 env "${serve_env[@]}" BEAR_SEED=48879 \
     BEAR_FAULT='panic@serve.job.run:p=0.25,alloc@serve.decode:p=0.15' \
