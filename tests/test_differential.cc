@@ -12,6 +12,7 @@
  * bug in the design under test.
  */
 
+#include <ostream>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -89,6 +90,15 @@ struct DifferentialCase
     bool ttc;
     FillPolicy fill;
 };
+
+// Print a case by its name. Without this, gtest prints the raw bytes of
+// the struct, which include the address of `name`; that address moves
+// with ASLR, so the discovered ctest names would change on every build.
+void
+PrintTo(const DifferentialCase &dc, std::ostream *os)
+{
+    *os << dc.name;
+}
 
 class Differential : public ::testing::TestWithParam<DifferentialCase>
 {
