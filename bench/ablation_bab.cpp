@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
+#include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 

@@ -23,12 +23,18 @@
 #include <cstdint>
 #include <string>
 
-#include "cache/replacement.hh"
 #include "common/types.hh"
 #include "dramcache/tag_store.hh"
 
 namespace bear
 {
+
+/**
+ * Replacement policy of one SRAM cache level; each kind selects the
+ * matching TagStore replacement plane.  LRU is the paper's policy for
+ * the on-chip hierarchy; Random and NRU serve the tests and ablations.
+ */
+enum class ReplacementKind { LRU, Random, NRU };
 
 /** Geometry/latency parameters of one SRAM cache level. */
 struct SramCacheConfig

@@ -38,6 +38,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/expected.hh"
@@ -129,6 +130,21 @@ class FaultInjector
 
 /** The process-wide injector instance. */
 FaultInjector &injector();
+
+/**
+ * Holds @p plan armed on the process-wide injector for its lifetime:
+ * the Runner keeps one for its own lifetime, beard from start() to the
+ * end of serve().
+ */
+class ArmedPlan
+{
+  public:
+    explicit ArmedPlan(FaultPlan plan) { injector().arm(std::move(plan)); }
+    ~ArmedPlan() { injector().disarm(); }
+
+    ArmedPlan(const ArmedPlan &) = delete;
+    ArmedPlan &operator=(const ArmedPlan &) = delete;
+};
 
 } // namespace bear::fault
 

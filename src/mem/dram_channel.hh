@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/dram_config.hh"
 #include "obs/event_trace.hh"

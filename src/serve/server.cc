@@ -1,10 +1,9 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <deque>
+#include <utility>
 #include <new>
 #include <optional>
 #include <stdexcept>
@@ -31,9 +30,6 @@ namespace
 
 /** Accept-loop poll period; bounds drain latency. */
 constexpr int kAcceptPollMs = 100;
-
-/** Watchdog tick; bounds deadline/drain-cancel detection latency. */
-constexpr std::chrono::milliseconds kMonitorTick{20};
 
 /** STATS lists at most this many per-tenant entries. */
 constexpr std::size_t kMaxTenantEntries = 256;
@@ -160,44 +156,6 @@ connectionFault(const char *site, const std::string &scope)
     return std::nullopt;
 }
 
-/**
- * Evaluate the serve.job.run site and act exactly like the runner's
- * job-level sites: throwing kinds unwind into runSession's containment
- * layer, a stall burns wall-clock without advancing progress until the
- * serve watchdog (or a drain past its grace) cancels the job.
- */
-void
-checkJobFault(const char *site, const std::string &scope,
-              JobControl &control)
-{
-    auto &inj = fault::injector();
-    if (!inj.armed())
-        return;
-    const auto kind = inj.evaluate(site, scope);
-    if (!kind)
-        return;
-    switch (*kind) {
-    case fault::FaultKind::Throw:
-        throw std::runtime_error(
-            detail::format("injected fault at ", site));
-    case fault::FaultKind::Panic:
-        bear_panic("injected fault at ", site);
-    case fault::FaultKind::Alloc:
-        throw std::bad_alloc();
-    case fault::FaultKind::Stall:
-        control.setPhase("stalled");
-        while (control.cancelReason() == CancelReason::None)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        throw JobCancelled{
-            control.cancelReason(),
-            detail::format("stalled by injected fault at ", site)};
-    case fault::FaultKind::TraceIo:
-        bear_warn("BEAR_FAULT: trace-io fired at serve site ", site,
-                  "; only trace.* sites honour it");
-        break;
-    }
-}
-
 } // namespace
 
 Expected<ServerOptions, EnvError>
@@ -309,41 +267,6 @@ struct Server::Shard
     std::thread worker;
 };
 
-/** One running tenant simulation as the serve watchdog sees it. */
-struct Server::WatchedJob
-{
-    JobControl *control = nullptr;
-    std::uint64_t lastProgress = 0;
-    std::chrono::steady_clock::time_point lastAdvance =
-        std::chrono::steady_clock::now();
-};
-
-/** RAII registration of a running session with the watchdog. */
-class Server::WatchGuard
-{
-  public:
-    WatchGuard(Server &server, JobControl &control) : server_(server)
-    {
-        job_.control = &control;
-        MutexLock lock(server_.active_mutex_);
-        server_.active_.push_back(&job_);
-    }
-
-    ~WatchGuard()
-    {
-        MutexLock lock(server_.active_mutex_);
-        auto &v = server_.active_;
-        v.erase(std::remove(v.begin(), v.end(), &job_), v.end());
-    }
-
-    WatchGuard(const WatchGuard &) = delete;
-    WatchGuard &operator=(const WatchGuard &) = delete;
-
-  private:
-    Server &server_;
-    WatchedJob job_;
-};
-
 Server::Server(ServerOptions options) : options_(std::move(options))
 {
     bear_assert(options_.shards >= 1, "need at least one shard");
@@ -424,19 +347,21 @@ Server::start()
                     + "\": " + plan.error()});
         }
         plan->seed = options_.run.seed;
-        fault::injector().arm(std::move(*plan));
-        fault_armed_ = true;
+        fault_plan_.emplace(std::move(*plan));
     }
 
     listen_fd_ = fd;
     started_.store(true);
+    // A drain past its grace window cancels every in-flight
+    // simulation: SIGTERM must win even against a stalled tenant, or
+    // one wedged job holds the whole shutdown hostage.
+    watchdog_.emplace(options_.run.jobTimeoutSeconds,
+                      [this] { return drainGraceExpired(); });
     for (auto &shard : shards_) {
         Shard *s = shard.get();
         s->worker = std::thread([this, s] { shardLoop(*s); });
     }
     accept_thread_ = std::thread([this] { acceptLoop(); });
-    stop_monitor_.store(false);
-    monitor_ = std::thread([this] { monitorLoop(); });
     return true;
 }
 
@@ -459,6 +384,14 @@ bool
 Server::draining() const
 {
     return draining_.load(std::memory_order_relaxed);
+}
+
+bool
+Server::drainGraceExpired() const
+{
+    return draining()
+        && wallSeconds() - drain_started_.load()
+        > options_.drainGraceSeconds;
 }
 
 int
@@ -492,62 +425,12 @@ Server::serve()
 
     // The watchdog outlives the workers (it is what cancels a wedged
     // job so the joins above can finish); stop it last.
-    {
-        MutexLock lock(monitor_cv_mutex_);
-        stop_monitor_.store(true);
-    }
-    monitor_cv_.notifyAll();
-    if (monitor_.joinable())
-        monitor_.join();
-
-    if (fault_armed_) {
-        fault::injector().disarm();
-        fault_armed_ = false;
-    }
+    watchdog_.reset();
+    fault_plan_.reset();
 
     ::unlink(options_.socketPath.c_str());
     started_.store(false);
     return drain_reason_.load() == CancelReason::Interrupt ? 130 : 0;
-}
-
-void
-Server::monitorLoop()
-{
-    const double timeout = options_.run.jobTimeoutSeconds;
-    MutexLock lk(monitor_cv_mutex_);
-    while (!stop_monitor_.load(std::memory_order_relaxed)) {
-        monitor_cv_.waitFor(lk, kMonitorTick, [this] {
-            return stop_monitor_.load(std::memory_order_relaxed);
-        });
-        if (stop_monitor_.load(std::memory_order_relaxed))
-            return;
-
-        // A drain past its grace window cancels every in-flight
-        // simulation: SIGTERM must win even against a stalled tenant,
-        // or one wedged job holds the whole shutdown hostage.
-        const bool drain_expired = draining()
-            && wallSeconds() - drain_started_.load()
-                > options_.drainGraceSeconds;
-        const auto now = std::chrono::steady_clock::now();
-        MutexLock guard(active_mutex_);
-        for (WatchedJob *job : active_) {
-            if (drain_expired)
-                job->control->requestCancel(CancelReason::Interrupt);
-            if (timeout <= 0.0)
-                continue;
-            const std::uint64_t p =
-                job->control->progress.load(std::memory_order_relaxed);
-            if (p != job->lastProgress) {
-                job->lastProgress = p;
-                job->lastAdvance = now;
-                continue;
-            }
-            const std::chrono::duration<double> stalled =
-                now - job->lastAdvance;
-            if (stalled.count() > timeout)
-                job->control->requestCancel(CancelReason::Timeout);
-        }
-    }
 }
 
 void
@@ -872,9 +755,7 @@ Server::connectionLoop(int fd)
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
                 // Receive-timeout tick: enforce the drain grace so a
                 // stalled upload cannot hold the drain hostage.
-                if (draining()
-                    && wallSeconds() - drain_started_.load()
-                        > options_.drainGraceSeconds) {
+                if (drainGraceExpired()) {
                     if (state == State::AwaitHello) {
                         state = State::Closed;
                     } else {
@@ -1041,10 +922,10 @@ Server::runSession(SessionJob &job)
     // One tenant's failure — a panic deep in a checker, an allocation
     // failure, an injected fault, a stall — must stay that tenant's
     // problem: contain it, attribute it (kind + phase), answer with
-    // an Error frame, keep serving everyone else.  The WatchGuard
-    // puts the job under the serve watchdog for the duration, so a
-    // stall becomes a Deadline failure instead of a wedged shard.
-    WatchGuard watch(*this, job.control);
+    // an Error frame, keep serving everyone else.  The Watch puts the
+    // job under the serve watchdog for the duration, so a stall
+    // becomes a Deadline failure instead of a wedged shard.
+    Watchdog::Watch watch(*watchdog_, job.control);
     ContainmentScope contain;
     try {
         SingleRunSpec spec;
@@ -1071,7 +952,7 @@ Server::runSession(SessionJob &job)
                     std::move(job.coreRecords[c])));
         }
 
-        checkJobFault("serve.job.run", scope, job.control);
+        checkJobFaultSite("serve.job.run", scope, job.control);
         const RunResult result =
             runSingleTenant(spec, std::move(streams));
         report = runResultToJson(result);

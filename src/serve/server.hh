@@ -32,15 +32,18 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault.hh"
 #include "common/sync.hh"
 #include "obs/histogram.hh"
 #include "serve/frame.hh"
 #include "sim/job_control.hh"
 #include "sim/runner.hh"
+#include "sim/watchdog.hh"
 
 namespace bear::serve
 {
@@ -163,13 +166,13 @@ class Server
   private:
     struct Shard;
     struct SessionJob;
-    struct WatchedJob;
-    class WatchGuard;
 
     void acceptLoop();
     void connectionLoop(int fd);
     void shardLoop(Shard &shard);
-    void monitorLoop();
+
+    /** Has a drain been pending longer than drainGraceSeconds? */
+    bool drainGraceExpired() const;
 
     /** Run one admitted, fully-uploaded session on a shard worker. */
     void runSession(SessionJob &job);
@@ -189,22 +192,18 @@ class Server
     std::vector<std::unique_ptr<Shard>> shards_;
     std::thread accept_thread_;
 
-    /** Armed a BEAR_FAULT plan in start(); disarm on serve() exit. */
-    bool fault_armed_ = false;
+    /** BEAR_FAULT, armed from start() to the end of serve(). */
+    std::optional<fault::ArmedPlan> fault_plan_;
 
     /**
-     * The serve-side watchdog (mirrors Runner::monitorLoop): watches
-     * every running tenant simulation for forward progress, cancels
-     * stalls as Timeout after run.jobTimeoutSeconds, and cancels all
-     * in-flight jobs as Interrupt once a drain outlives its grace
-     * window — SIGTERM wins even against a wedged tenant.
+     * The serve-side watchdog, the same sim/watchdog.hh supervisor the
+     * Runner uses: from start() until serve() has joined the shard
+     * workers it cancels a stalled tenant simulation as Timeout after
+     * run.jobTimeoutSeconds, and every in-flight one as Interrupt once
+     * a drain outlives its grace window — SIGTERM wins even against a
+     * wedged tenant.
      */
-    Mutex active_mutex_;
-    std::vector<WatchedJob *> active_ GUARDED_BY(active_mutex_);
-    std::atomic<bool> stop_monitor_{false};
-    Mutex monitor_cv_mutex_;
-    CondVar monitor_cv_;
-    std::thread monitor_;
+    std::optional<Watchdog> watchdog_;
 
     Mutex conn_mutex_;
     std::vector<std::thread> connections_ GUARDED_BY(conn_mutex_);

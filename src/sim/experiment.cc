@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/log.hh"
-#include "common/stats.hh"
+#include "sim/metrics.hh"
 #include "sim/report.hh"
 
 namespace bear

@@ -4,14 +4,15 @@
  * simulation job.
  *
  * A JobControl is shared between the worker thread executing a job and
- * the runner's monitor thread.  The worker publishes progress (the
- * simulated references retired, in batches of
- * System::kControlPollRefs) and the phase it is in; the monitor watches
- * progress and requests cancellation when it stops advancing for longer
- * than the watchdog timeout, or when the process received
- * SIGINT/SIGTERM.  The simulation loop checkpoints the cancel flag
- * every System::kControlPollRefs references (about a millisecond of
- * host time, well inside the monitor's 20 ms tick), so a cancelled job
+ * the Watchdog (sim/watchdog.hh) it is registered with.  The worker
+ * publishes progress (the simulated references retired, in batches of
+ * System::kControlPollRefs) and the phase it is in; the watchdog
+ * watches progress and requests cancellation when it stops advancing
+ * for longer than the timeout, or when its owner's interrupt predicate
+ * holds (SIGINT/SIGTERM for the runner, an expired drain for beard).
+ * The simulation loop checkpoints the cancel flag every
+ * System::kControlPollRefs references (about a millisecond of host
+ * time, well inside the watchdog's 20 ms tick), so a cancelled job
  * unwinds soon after the request — a hang becomes a structured timeout
  * failure instead of a stuck worker pool.
  */
@@ -34,7 +35,7 @@ enum class CancelReason : std::uint8_t
     Interrupt, ///< SIGINT/SIGTERM: the whole sweep is shutting down
 };
 
-/** Shared state between one job's worker and the monitor thread. */
+/** Shared state between one job's worker and its watchdog. */
 struct JobControl
 {
     /** Simulated references retired; advancing proves liveness. */

@@ -1,7 +1,8 @@
 #include "sim/metrics.hh"
 
+#include <cmath>
+
 #include "common/log.hh"
-#include "common/stats.hh"
 
 namespace bear
 {
@@ -42,6 +43,17 @@ double
 aggregateSpeedup(const std::vector<double> &speedups)
 {
     return geomean(speedups);
+}
+
+double
+geomean(const std::vector<double> &values)
+{
+    if (values.empty())
+        return 0.0;
+    double log_sum = 0.0;
+    for (double v : values)
+        log_sum += std::log(v);
+    return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
 } // namespace bear

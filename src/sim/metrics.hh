@@ -46,6 +46,9 @@ double normalizedSpeedup(const RunResult &baseline,
 /** Geometric mean of per-workload speedups. */
 double aggregateSpeedup(const std::vector<double> &speedups);
 
+/** Geometric mean of a vector of positive values; 0 if empty. */
+double geomean(const std::vector<double> &values);
+
 } // namespace bear
 
 #endif // BEAR_SIM_METRICS_HH

@@ -7,10 +7,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <exception>
 #include <new>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
+#include <thread>
 
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -34,9 +35,6 @@ constexpr std::uint64_t kMaxRefsPerCore = 1ULL << 40;
 constexpr std::uint64_t kMaxWorkers = 4096;
 constexpr std::uint64_t kMaxEventTraceCapacity = 1ULL << 24;
 constexpr double kMaxJobTimeoutSeconds = 86400.0;
-
-/** Watchdog/interrupt poll period; bounds cancellation latency. */
-constexpr std::chrono::milliseconds kMonitorTick{20};
 
 /**
  * Strict full-string parsers: the whole value must be consumed, so
@@ -77,43 +75,25 @@ parseDouble(const char *text, double &out)
     return nullptr;
 }
 
-/** One override: parse $name into @p out if set; nullptr on success. */
-template <typename T, typename Parse>
+/**
+ * A double override whose domain is not a closed range: @p check
+ * returns why a parsed value is rejected, or nullptr to accept it.
+ */
 Expected<bool, EnvError>
-envOverride(const char *name, T &out, Parse parse,
-            const char *constraint(const T &) = nullptr)
+envDoubleChecked(const char *name, double &out,
+                 const char *check(double))
 {
     const char *text = std::getenv(name);
     if (!text)
         return false;
-    T parsed{};
-    if (const char *why = parse(text, parsed))
+    double parsed = 0.0;
+    const char *why = parseDouble(text, parsed);
+    if (!why)
+        why = check(parsed);
+    if (why)
         return unexpected(EnvError{name, text, why});
-    if (constraint) {
-        if (const char *why = constraint(parsed))
-            return unexpected(EnvError{name, text, why});
-    }
     out = parsed;
     return true;
-}
-
-/**
- * Unsigned override with an explicit domain: negative, non-numeric,
- * and overflowing values are all rejected with the accepted range
- * spelled out, so `BEAR_WORKERS=5000000000` is an error message and
- * not a silently truncated 32-bit worker count.
- */
-Expected<bool, EnvError>
-envBoundedU64(const char *name, std::uint64_t &out, std::uint64_t max)
-{
-    return envU64InRange(name, out, 0, max);
-}
-
-/** String override; set-but-empty is a config error, not "unset". */
-Expected<bool, EnvError>
-envString(const char *name, std::string &out)
-{
-    return envNonEmptyString(name, out);
 }
 
 /**
@@ -126,49 +106,20 @@ struct AloneFailed
     RunError error;
 };
 
-/**
- * Act on a fired fault clause at a runner-level site.  Throwing kinds
- * unwind into the containment layer; a stall burns wall-clock without
- * advancing progress until the watchdog (or a signal) cancels it —
- * exactly the failure mode BEAR_JOB_TIMEOUT exists to catch.
- */
+/** Attribute a cancelled job: an interrupt drain or a timeout. */
 void
-actOnFault(fault::FaultKind kind, const char *site, JobControl &control)
+noteCancelled(RunError &err, const JobCancelled &cancelled,
+              double timeoutSeconds)
 {
-    switch (kind) {
-    case fault::FaultKind::Throw:
-        throw std::runtime_error(
-            detail::format("injected fault at ", site));
-    case fault::FaultKind::Panic:
-        bear_panic("injected fault at ", site);
-    case fault::FaultKind::Alloc:
-        throw std::bad_alloc();
-    case fault::FaultKind::Stall:
-        control.setPhase("stalled");
-        while (control.cancelReason() == CancelReason::None)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        throw JobCancelled{
-            control.cancelReason(),
-            detail::format("stalled by injected fault at ", site)};
-    case fault::FaultKind::TraceIo:
-        // Meaningful only inside the trace writer; a runner-level
-        // trace-io clause is a spec mistake, surfaced loudly.
-        bear_warn("BEAR_FAULT: trace-io fired at runner site ", site,
-                  "; only trace.* sites honour it");
-        break;
+    if (cancelled.reason == CancelReason::Interrupt) {
+        err.kind = RunErrorKind::Interrupted;
+        err.what = "interrupted (SIGINT/SIGTERM)";
+    } else {
+        err.kind = RunErrorKind::Timeout;
+        err.what = detail::format("watchdog: no forward progress within ",
+                                  timeoutSeconds, " s");
     }
-}
-
-/** Evaluate @p site for @p scope and act if a clause fires. */
-void
-checkFaultSite(const char *site, const std::string &scope,
-               JobControl &control)
-{
-    auto &inj = fault::injector();
-    if (!inj.armed())
-        return;
-    if (auto kind = inj.evaluate(site, scope))
-        actOnFault(*kind, site, control);
+    err.diagnostics = cancelled.diagnostics;
 }
 
 /**
@@ -304,63 +255,60 @@ RunnerOptions::tryFromEnv()
     RunnerOptions options;
 
     std::uint64_t full = 0;
-    auto r = envBoundedU64("BEAR_FULL", full, 1);
+    auto r = envU64InRange("BEAR_FULL", full, 0, 1);
     if (!r)
         return unexpected(r.error());
     if (full)
         options.scale = 1.0;
 
-    r = envOverride("BEAR_SCALE", options.scale, parseDouble,
-                    +[](const double &v) {
-                        return v > 0.0 && v <= 16.0
-                            ? nullptr
-                            : "scale must be in (0, 16]";
-                    });
+    r = envDoubleChecked("BEAR_SCALE", options.scale, [](double v) {
+        return v > 0.0 && v <= 16.0 ? nullptr : "scale must be in (0, 16]";
+    });
     if (!r)
         return unexpected(r.error());
 
-    r = envBoundedU64("BEAR_WARMUP", options.warmupRefsPerCore,
+    r = envU64InRange("BEAR_WARMUP", options.warmupRefsPerCore, 0,
                       kMaxRefsPerCore);
     if (!r)
         return unexpected(r.error());
-    r = envBoundedU64("BEAR_MEASURE", options.measureRefsPerCore,
+    r = envU64InRange("BEAR_MEASURE", options.measureRefsPerCore, 0,
                       kMaxRefsPerCore);
     if (!r)
         return unexpected(r.error());
 
     std::uint64_t workers = options.workers;
-    r = envBoundedU64("BEAR_WORKERS", workers, kMaxWorkers);
+    r = envU64InRange("BEAR_WORKERS", workers, 0, kMaxWorkers);
     if (!r)
         return unexpected(r.error());
     options.workers = static_cast<std::uint32_t>(workers);
 
     std::uint64_t trace = options.traceCapacity;
-    r = envBoundedU64("BEAR_TRACE", trace, kMaxEventTraceCapacity);
+    r = envU64InRange("BEAR_TRACE", trace, 0, kMaxEventTraceCapacity);
     if (!r)
         return unexpected(r.error());
     options.traceCapacity = static_cast<std::size_t>(trace);
 
-    r = envString("BEAR_TRACE_IN", options.traceInPath);
+    r = envNonEmptyString("BEAR_TRACE_IN", options.traceInPath);
     if (!r)
         return unexpected(r.error());
-    r = envString("BEAR_TRACE_OUT", options.traceOutPath);
-    if (!r)
-        return unexpected(r.error());
-
-    r = envOverride("BEAR_JOB_TIMEOUT", options.jobTimeoutSeconds,
-                    parseDouble, +[](const double &v) {
-                        return v > 0.0 && v <= kMaxJobTimeoutSeconds
-                            ? nullptr
-                            : "timeout must be in (0, 86400] seconds";
-                    });
+    r = envNonEmptyString("BEAR_TRACE_OUT", options.traceOutPath);
     if (!r)
         return unexpected(r.error());
 
-    r = envString("BEAR_JOURNAL", options.journalPath);
+    r = envDoubleChecked(
+        "BEAR_JOB_TIMEOUT", options.jobTimeoutSeconds, [](double v) {
+            return v > 0.0 && v <= kMaxJobTimeoutSeconds
+                ? nullptr
+                : "timeout must be in (0, 86400] seconds";
+        });
     if (!r)
         return unexpected(r.error());
 
-    r = envString("BEAR_FAULT", options.faultSpec);
+    r = envNonEmptyString("BEAR_JOURNAL", options.journalPath);
+    if (!r)
+        return unexpected(r.error());
+
+    r = envNonEmptyString("BEAR_FAULT", options.faultSpec);
     if (!r)
         return unexpected(r.error());
     if (!options.faultSpec.empty()) {
@@ -372,12 +320,7 @@ RunnerOptions::tryFromEnv()
     }
 
     std::uint64_t retries = options.retries;
-    r = envOverride("BEAR_RETRIES", retries, parseU64,
-                    +[](const std::uint64_t &v) {
-                        return v >= 1 && v <= 16
-                            ? nullptr
-                            : "accepted range 1..16";
-                    });
+    r = envU64InRange("BEAR_RETRIES", retries, 1, 16);
     if (!r)
         return unexpected(r.error());
     options.retries = static_cast<std::uint32_t>(retries);
@@ -421,42 +364,6 @@ RunnerOptions::fingerprint() const
     return h;
 }
 
-/** One executing job as the monitor thread sees it. */
-struct Runner::ActiveJob
-{
-    JobControl control;
-    std::uint64_t lastProgress = 0;
-    std::chrono::steady_clock::time_point lastAdvance =
-        std::chrono::steady_clock::now();
-};
-
-/** RAII registration of a job with the runner's monitor thread. */
-class ActiveRegistration
-{
-  public:
-    explicit ActiveRegistration(Runner &runner) : runner_(runner)
-    {
-        MutexLock lock(runner_.active_mutex_);
-        runner_.active_.push_back(&job_);
-    }
-
-    ~ActiveRegistration()
-    {
-        MutexLock lock(runner_.active_mutex_);
-        auto &v = runner_.active_;
-        v.erase(std::remove(v.begin(), v.end(), &job_), v.end());
-    }
-
-    ActiveRegistration(const ActiveRegistration &) = delete;
-    ActiveRegistration &operator=(const ActiveRegistration &) = delete;
-
-    JobControl &control() { return job_.control; }
-
-  private:
-    Runner &runner_;
-    Runner::ActiveJob job_;
-};
-
 Runner::Runner(const RunnerOptions &options) : options_(options)
 {
     bear_assert(options.scale > 0.0, "scale must be positive");
@@ -464,7 +371,7 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
     bear_assert(options.retries >= 1, "need at least one attempt");
 
     // Preflight the replay corpus before any simulation (and before
-    // the monitor thread exists, so a config error dies with a clean
+    // the watchdog thread exists, so a config error dies with a clean
     // single-threaded exit): a missing or corrupt BEAR_TRACE_IN must
     // never cost a warm-up first.
     if (!options_.traceInPath.empty()) {
@@ -488,7 +395,7 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
                        plan.error());
         }
         plan->seed = options_.seed;
-        fault::injector().arm(std::move(*plan));
+        fault_plan_.emplace(std::move(*plan));
     }
 
     if (!options_.journalPath.empty()) {
@@ -511,55 +418,7 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
     }
 
     installInterruptHandlers();
-    monitor_ = std::thread([this] { monitorLoop(); });
-}
-
-Runner::~Runner()
-{
-    {
-        MutexLock lock(monitor_cv_mutex_);
-        stop_monitor_.store(true);
-    }
-    monitor_cv_.notifyAll();
-    if (monitor_.joinable())
-        monitor_.join();
-    if (!options_.faultSpec.empty())
-        fault::injector().disarm();
-}
-
-void
-Runner::monitorLoop()
-{
-    const double timeout = options_.jobTimeoutSeconds;
-    MutexLock lk(monitor_cv_mutex_);
-    while (!stop_monitor_.load(std::memory_order_relaxed)) {
-        monitor_cv_.waitFor(lk, kMonitorTick, [this] {
-            return stop_monitor_.load(std::memory_order_relaxed);
-        });
-        if (stop_monitor_.load(std::memory_order_relaxed))
-            return;
-
-        const bool interrupted = interruptRequested();
-        const auto now = std::chrono::steady_clock::now();
-        MutexLock guard(active_mutex_);
-        for (ActiveJob *job : active_) {
-            if (interrupted)
-                job->control.requestCancel(CancelReason::Interrupt);
-            if (timeout <= 0.0)
-                continue;
-            const std::uint64_t p =
-                job->control.progress.load(std::memory_order_relaxed);
-            if (p != job->lastProgress) {
-                job->lastProgress = p;
-                job->lastAdvance = now;
-                continue;
-            }
-            const std::chrono::duration<double> stalled =
-                now - job->lastAdvance;
-            if (stalled.count() > timeout)
-                job->control.requestCancel(CancelReason::Timeout);
-        }
-    }
+    watchdog_.emplace(options_.jobTimeoutSeconds, interruptRequested);
 }
 
 SystemConfig
@@ -603,7 +462,7 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
 
     phase = JobPhase::Setup;
     control.setPhase("setup");
-    checkFaultSite("job.setup", key, control);
+    checkJobFaultSite("job.setup", key, control);
 
     std::vector<std::unique_ptr<RefStream>> streams;
     if (!options_.traceInPath.empty()) {
@@ -688,10 +547,10 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
         spec.onPhase = [&](RunPhase p) {
             if (p == RunPhase::Warmup) {
                 phase = JobPhase::Warmup;
-                checkFaultSite("job.warmup", key, control);
+                checkJobFaultSite("job.warmup", key, control);
             } else {
                 phase = JobPhase::Measure;
-                checkFaultSite("job.measure", key, control);
+                checkJobFaultSite("job.measure", key, control);
             }
         };
         RunResult result = runSingleTenant(spec, std::move(streams));
@@ -737,8 +596,8 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
 RunOutcome
 Runner::executeContained(const RunJob &job, const std::string &key)
 {
-    ActiveRegistration registration(*this);
-    JobControl &control = registration.control();
+    JobControl control;
+    Watchdog::Watch watch(*watchdog_, control);
     ContainmentScope contain;
 
     JobPhase phase = JobPhase::Setup;
@@ -760,16 +619,7 @@ Runner::executeContained(const RunJob &job, const std::string &key)
         err.kind = RunErrorKind::Contained;
         err.what = failure.message;
     } catch (const JobCancelled &cancelled) {
-        if (cancelled.reason == CancelReason::Interrupt) {
-            err.kind = RunErrorKind::Interrupted;
-            err.what = "interrupted (SIGINT/SIGTERM)";
-        } else {
-            err.kind = RunErrorKind::Timeout;
-            err.what = detail::format(
-                "watchdog: no forward progress within ",
-                options_.jobTimeoutSeconds, " s");
-        }
-        err.diagnostics = cancelled.diagnostics;
+        noteCancelled(err, cancelled, options_.jobTimeoutSeconds);
     } catch (const trace::TraceIoFailure &failure) {
         err.kind = RunErrorKind::TraceIo;
         err.what = failure.error.message();
@@ -882,15 +732,16 @@ Runner::ipcAloneContained(const std::string &benchmark,
     // Standalone calls register their own watchdog entry; nested ones
     // (inside a mix job) reuse the mix's control so its progress and
     // cancellation cover the reference run too.
-    std::optional<ActiveRegistration> registration;
+    JobControl own;
+    std::optional<Watchdog::Watch> watch;
     if (!control) {
-        registration.emplace(*this);
-        control = &registration->control();
+        watch.emplace(*watchdog_, own);
+        control = &own;
     }
     ContainmentScope contain;
 
     try {
-        checkFaultSite("alone.run", benchmark, *control);
+        checkJobFaultSite("alone.run", benchmark, *control);
 
         // Single active core on the baseline Alloy system: the
         // benchmark has every resource to itself.
@@ -936,16 +787,7 @@ Runner::ipcAloneContained(const std::string &benchmark,
     } catch (const ContainedFailure &failure) {
         err.what = failure.message;
     } catch (const JobCancelled &cancelled) {
-        if (cancelled.reason == CancelReason::Interrupt) {
-            err.kind = RunErrorKind::Interrupted;
-            err.what = "interrupted (SIGINT/SIGTERM)";
-        } else {
-            err.kind = RunErrorKind::Timeout;
-            err.what = detail::format(
-                "watchdog: no forward progress within ",
-                options_.jobTimeoutSeconds, " s");
-        }
-        err.diagnostics = cancelled.diagnostics;
+        noteCancelled(err, cancelled, options_.jobTimeoutSeconds);
     } catch (const std::bad_alloc &) {
         err.what = "allocation failure (std::bad_alloc)";
     } catch (const std::exception &e) {

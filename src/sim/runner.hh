@@ -14,9 +14,10 @@
  * Resilience (DESIGN.md §11): each job executes inside a containment
  * scope, so an exception, a bear_assert failure, or a bear_fatal deep
  * inside one simulation becomes a structured RunError for that cell —
- * never a dead worker pool or a half-printed table.  A monitor thread
- * watches forward progress and converts hangs into timeout failures
- * (BEAR_JOB_TIMEOUT) and SIGINT/SIGTERM into a graceful sweep drain.
+ * never a dead worker pool or a half-printed table.  A Watchdog
+ * (sim/watchdog.hh) watches forward progress and converts hangs into
+ * timeout failures (BEAR_JOB_TIMEOUT) and SIGINT/SIGTERM into a
+ * graceful sweep drain.
  * Transient trace-I/O failures retry with capped deterministic
  * backoff (BEAR_RETRIES).  With BEAR_JOURNAL set, every completed
  * cell is appended to a CRC-sealed journal and a re-run resumes,
@@ -29,16 +30,18 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/expected.hh"
+#include "common/fault.hh"
 #include "common/sync.hh"
 #include "sim/job_control.hh"
 #include "sim/journal.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
+#include "sim/watchdog.hh"
 #include "workloads/mixes.hh"
 #include "workloads/workload.hh"
 
@@ -231,10 +234,9 @@ class Runner
      * Validates the replay corpus (BEAR_TRACE_IN) up front — a
      * missing or corrupt trace is a fatal config error *before* any
      * simulation runs — then opens the journal, arms the fault plan,
-     * and starts the monitor thread.
+     * and starts the watchdog.
      */
     explicit Runner(const RunnerOptions &options);
-    ~Runner();
 
     Runner(const Runner &) = delete;
     Runner &operator=(const Runner &) = delete;
@@ -279,9 +281,6 @@ class Runner
     const ResultJournal *journal() const { return journal_.get(); }
 
   private:
-    struct ActiveJob;
-    friend class ActiveRegistration;
-
     SystemConfig systemConfig(const RunJob &job) const;
     RunResult execute(const RunJob &job, JobControl &control,
                       JobPhase &phase);
@@ -291,7 +290,6 @@ class Runner
     ipcAloneContained(const std::string &benchmark,
                       JobControl *control);
     std::string keyOf(const RunJob &job) const;
-    void monitorLoop();
 
     RunnerOptions options_;
     /** Set once the recording run has claimed traceOutPath. */
@@ -304,18 +302,17 @@ class Runner
 
     /**
      * The pointer is written once in the constructor (before any
-     * worker or the monitor thread exists) and read-only afterwards;
+     * worker or the watchdog thread exists) and read-only afterwards;
      * appends to the pointee are serialised under mutex_.
      */
     std::unique_ptr<ResultJournal> journal_;
 
-    /** Jobs currently executing, watched by the monitor thread. */
-    Mutex active_mutex_;
-    std::vector<ActiveJob *> active_ GUARDED_BY(active_mutex_);
-    std::atomic<bool> stop_monitor_{false};
-    Mutex monitor_cv_mutex_;
-    CondVar monitor_cv_;
-    std::thread monitor_;
+    /** BEAR_FAULT, armed for the Runner's lifetime. */
+    std::optional<fault::ArmedPlan> fault_plan_;
+
+    /** Watches every executing job; started last in the constructor
+     *  and, declared last, stopped first on destruction. */
+    std::optional<Watchdog> watchdog_;
 };
 
 /** Has this process received SIGINT/SIGTERM since the first Runner? */
@@ -336,9 +333,9 @@ std::vector<RunJob> allJobs(DesignKind design);
 
 /**
  * Monotonic wall-clock seconds (arbitrary epoch), for benchmark
- * harnesses that time throughput.  Lives here because the runner is
- * the sanctioned wall-clock seam (tools/bearlint BL004): simulation
- * code must never read the host clock, but the perf harness must.
+ * harnesses that time throughput and the daemon's service timing.
+ * Simulated results must never depend on it: simulation code reads
+ * only simulated cycles.
  */
 double wallSeconds();
 

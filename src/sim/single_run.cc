@@ -19,7 +19,7 @@ namespace
  * SIGINT/SIGTERM land here: record the signal and restore the default
  * disposition, so a second ^C force-kills instead of waiting for the
  * drain.  Only the async-signal-safe store happens in handler
- * context; pollers (the runner's monitor thread, beard's drain
+ * context; pollers (the runner's watchdog, beard's drain
  * watcher) do the actual cancellation, the unwinding workers finalize
  * traces, and journals are already flushed per append — nothing
  * computed is lost.

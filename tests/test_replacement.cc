@@ -1,10 +1,21 @@
-/** @file Unit tests for the replacement policies. */
+/**
+ * @file
+ * Unit tests for the reference replacement policies, and a seeded
+ * fuzz that holds the TagStore replacement planes to them victim for
+ * victim.
+ */
+
+#include <cstdint>
+#include <utility>
 
 #include <gtest/gtest.h>
 
-#include "cache/replacement.hh"
+#include "common/rng.hh"
+#include "dramcache/tag_store.hh"
+#include "tests/reference_replacement.hh"
 
 using namespace bear;
+using namespace bear::test;
 
 TEST(LruPolicy, EvictsLeastRecentlyTouched)
 {
@@ -69,9 +80,74 @@ TEST(NruPolicy, AllReferencedResetsAndPicksZero)
     EXPECT_EQ(nru.victim(0), 1u);
 }
 
-TEST(ReplacementFactory, BuildsEveryKind)
+namespace
 {
-    EXPECT_NE(makeReplacement(ReplacementKind::LRU, 4, 2), nullptr);
-    EXPECT_NE(makeReplacement(ReplacementKind::Random, 4, 2), nullptr);
-    EXPECT_NE(makeReplacement(ReplacementKind::NRU, 4, 2), nullptr);
+
+/**
+ * Drive a TagStore and @p oracle through one seeded random sequence
+ * with every way valid: touches, invalidate + re-install of a way
+ * (the SRAM back-invalidation path), and victim requests each
+ * followed by a fill of the victim way.  Every victim must agree.
+ */
+template <typename Oracle>
+void
+fuzzAgainstOracle(Oracle oracle, TagRepl repl, std::uint64_t sets,
+                  std::uint32_t ways)
+{
+    TagStore store(TagStoreConfig{sets, ways, repl, 1, 0});
+    std::uint64_t next_tag = 1;
+    for (std::uint64_t set = 0; set < sets; ++set) {
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            store.install(set, w, next_tag++);
+            store.touch(set, w);
+            oracle.touch(set, w);
+        }
+    }
+
+    Rng fuzz(0xF022);
+    int victims = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t set = fuzz.below(sets);
+        const auto way = static_cast<std::uint32_t>(fuzz.below(ways));
+        switch (fuzz.below(3)) {
+        case 0:
+            store.touch(set, way);
+            oracle.touch(set, way);
+            break;
+        case 1:
+            store.invalidate(set, way);
+            oracle.invalidate(set, way);
+            store.install(set, way, next_tag++);
+            break;
+        default: {
+            const std::uint32_t victim = store.victimWay(set);
+            ASSERT_EQ(victim, oracle.victim(set))
+                << "step " << step << ", set " << set;
+            store.install(set, victim, next_tag++);
+            store.touch(set, victim);
+            oracle.touch(set, victim);
+            ++victims;
+            break;
+        }
+        }
+    }
+    EXPECT_GT(victims, 5000);
+}
+
+} // namespace
+
+TEST(TagStoreOracle, SeededFuzzMatchesReferencePolicies)
+{
+    // 8 ways: one byte of mask per set.  29 ways (LH-Cache's
+    // associativity): 32-bit masks, two sets per word, odd set count.
+    for (const auto &[sets, ways] :
+         {std::pair<std::uint64_t, std::uint32_t>{16, 8}, {5, 29}}) {
+        SCOPED_TRACE(testing::Message() << sets << "x" << ways);
+        fuzzAgainstOracle(LruPolicy(sets, ways), TagRepl::Lru, sets,
+                          ways);
+        fuzzAgainstOracle(RandomPolicy(sets, ways, 1), TagRepl::Random,
+                          sets, ways);
+        fuzzAgainstOracle(NruPolicy(sets, ways), TagRepl::Nru, sets,
+                          ways);
+    }
 }

@@ -630,7 +630,9 @@ TEST(ServeChaos, FaultedTenantsAreContainedAndHealthyOnesIdentical)
     constexpr std::size_t kTenants = 8;
     std::vector<std::string> reports(kTenants);
     std::vector<ServeError> errors(kTenants);
-    std::vector<bool> failed(kTenants, false);
+    // One byte per tenant: vector<bool> packs the flags into shared
+    // words, so concurrent tenants' writes would race.
+    std::vector<char> failed(kTenants, 0);
 
     {
         // Queue as deep as the tenant count: no Busy noise, so every
@@ -657,7 +659,7 @@ TEST(ServeChaos, FaultedTenantsAreContainedAndHealthyOnesIdentical)
                 if (outcome.hasValue()) {
                     reports[t] = outcome->reportJson;
                 } else {
-                    failed[t] = true;
+                    failed[t] = 1;
                     errors[t] = outcome.error();
                 }
             });
@@ -749,6 +751,57 @@ TEST(ServeChaos, StalledTenantIsCancelledByTheWatchdog)
 
     server.requestDrain(CancelReason::None);
     EXPECT_EQ(server.serve(), 0);
+}
+
+TEST(ServeDrain, StalledTenantIsCancelledWhenTheGraceExpires)
+{
+    // No progress deadline: only the drain grace can free the stalled
+    // tenant, so an interrupt drain must cancel it as Interrupt and
+    // still exit 130.
+    const std::string trace_path =
+        uniquePath("serve-grace", ".beartrace");
+    const std::string socket_path =
+        uniquePath("serve-grace", ".sock");
+    ASSERT_TRUE(writeSampleTrace(trace_path));
+    const std::vector<std::uint8_t> trace_bytes =
+        slurpBytes(trace_path);
+    std::remove(trace_path.c_str());
+
+    ServerOptions options = loopbackOptions(socket_path, 1, 1);
+    options.run.faultSpec = "stall@serve.job.run:n=1";
+    options.run.jobTimeoutSeconds = 0.0;
+    options.drainGraceSeconds = 0.2;
+    Server server(options);
+    auto started = server.start();
+    ASSERT_TRUE(started.hasValue()) << started.error().message();
+
+    Expected<SessionOutcome, ServeError> outcome =
+        unexpected(ServeError{ServeErrorKind::Internal, "not run"});
+    std::thread tenant([&] {
+        ClientOptions copts;
+        copts.socketPath = socket_path;
+        copts.design = "BEAR";
+        outcome = Client::runSession(copts, trace_bytes);
+    });
+
+    // Drain only once the tenant's simulation is stalled.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (fault::injector().firedAt("serve.job.run") == 0
+           && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(fault::injector().firedAt("serve.job.run"), 1U);
+
+    server.requestDrain(CancelReason::Interrupt);
+    EXPECT_EQ(server.serve(), 130);
+    tenant.join();
+
+    ASSERT_FALSE(outcome.hasValue()) << "stalled session completed";
+    EXPECT_EQ(outcome.error().kind, ServeErrorKind::Draining)
+        << outcome.error().message();
+    EXPECT_NE(outcome.error().detail.find("stalled"),
+              std::string::npos)
+        << outcome.error().detail;
 }
 
 // --- Idle and slow-loris reaping ------------------------------------
