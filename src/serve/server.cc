@@ -78,33 +78,6 @@ sendFrameBestEffort(int fd, FrameType type, const std::string &payload)
     return sendAll(fd, bytes.data(), bytes.size());
 }
 
-/** Same shape report.cc uses, so STATS histograms read familiarly. */
-template <typename Unit>
-void
-writeHistogram(JsonWriter &json, const std::string &key,
-               const obs::Histogram<Unit> &hist)
-{
-    json.beginObject(key);
-    json.field("count", hist.count());
-    json.field("mean", hist.mean());
-    json.field("min", hist.min().count());
-    json.field("max", hist.max().count());
-    json.field("p50", hist.percentile(0.50).count());
-    json.field("p95", hist.percentile(0.95).count());
-    json.field("p99", hist.percentile(0.99).count());
-    json.beginArray("buckets");
-    for (int i = 0; i < obs::Histogram<Unit>::kBuckets; ++i) {
-        if (hist.bucketCount(i) == 0)
-            continue;
-        json.beginObject();
-        json.field("low", obs::Histogram<Unit>::bucketLow(i));
-        json.field("count", hist.bucketCount(i));
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-}
-
 /**
  * Evaluate a connection-thread fault site (serve.accept, serve.decode,
  * serve.reply).  A fired clause is contained right here and becomes a

@@ -12,33 +12,6 @@ namespace bear
 namespace
 {
 
-/** Summary + the populated log2 buckets of one distribution. */
-template <typename Unit>
-void
-writeHistogram(JsonWriter &json, const std::string &key,
-               const obs::Histogram<Unit> &hist)
-{
-    json.beginObject(key);
-    json.field("count", hist.count());
-    json.field("mean", hist.mean());
-    json.field("min", hist.min().count());
-    json.field("max", hist.max().count());
-    json.field("p50", hist.percentile(0.50).count());
-    json.field("p95", hist.percentile(0.95).count());
-    json.field("p99", hist.percentile(0.99).count());
-    json.beginArray("buckets");
-    for (int i = 0; i < obs::Histogram<Unit>::kBuckets; ++i) {
-        if (hist.bucketCount(i) == 0)
-            continue;
-        json.beginObject();
-        json.field("low", obs::Histogram<Unit>::bucketLow(i));
-        json.field("count", hist.bucketCount(i));
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-}
-
 void
 writeStats(JsonWriter &json, const SystemStats &stats)
 {

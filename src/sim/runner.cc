@@ -916,7 +916,10 @@ std::vector<RunJob>
 allJobs(DesignKind design)
 {
     std::vector<RunJob> jobs = rateJobs(design);
-    const bool full = std::getenv("BEAR_ALL54") != nullptr;
+    std::uint64_t full = 0;
+    auto r = envU64InRange("BEAR_ALL54", full, 0, 1);
+    if (!r)
+        bear_fatal("bad environment override: ", r.error().message());
     const auto &mixes = full ? allMixes() : tableThreeMixes();
     for (const auto &mix : mixes) {
         RunJob job;

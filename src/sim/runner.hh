@@ -325,9 +325,10 @@ std::vector<RunJob> rateJobs(DesignKind design);
 std::vector<RunJob> mixJobs(DesignKind design);
 
 /**
- * The "ALL" workload set: RATE + the detailed mixes by default; with
- * BEAR_ALL54=1 in the environment, RATE + all 38 mixes (the paper's
- * 54-workload set).
+ * The "ALL" workload set: RATE + the detailed mixes by default or
+ * with BEAR_ALL54=0; with BEAR_ALL54=1, RATE + all 38 mixes (the
+ * paper's 54-workload set).  Any other value is fatal, with the same
+ * EnvError message RunnerOptions::fromEnv() gives.
  */
 std::vector<RunJob> allJobs(DesignKind design);
 

@@ -1,6 +1,7 @@
 #include "trace/trace_format.hh"
 
 #include <array>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -148,6 +149,181 @@ encodeHeader(const TraceMeta &meta)
     out.insert(out.end(), meta.workload.begin(), meta.workload.end());
     putU32(out, crc32(out.data(), out.size()));
     return out;
+}
+
+Expected<std::optional<ParsedHeader>, TraceError>
+parseHeader(const std::uint8_t *bytes, std::size_t available)
+{
+    if (available < kHeaderFixedBytes)
+        return std::optional<ParsedHeader>();
+    if (std::memcmp(bytes, kMagic, sizeof(kMagic)) != 0) {
+        return unexpected(TraceError{TraceErrorKind::BadMagic,
+                                     "not .beartrace data", 0, -1});
+    }
+    const std::uint32_t version = getU32(bytes + 8);
+    if (version != kFormatVersion) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadVersion,
+            "trace is format v" + std::to_string(version) +
+                ", this build reads v" + std::to_string(kFormatVersion),
+            8, -1});
+    }
+    ParsedHeader header;
+    TraceMeta &meta = header.meta;
+    meta.coreCount = getU32(bytes + 12);
+    meta.seed = getU64(bytes + 16);
+    meta.recordCount = getU64(bytes + 24);
+    if (meta.coreCount == 0 || meta.coreCount > kMaxCoreCount) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadHeader,
+            "core count " + std::to_string(meta.coreCount) +
+                " outside 1.." + std::to_string(kMaxCoreCount),
+            12, -1});
+    }
+    const std::size_t name_len = bytes[kHeaderFixedBytes - 1];
+    header.size = kHeaderFixedBytes + name_len + kChunkCrcBytes;
+    if (available < header.size)
+        return std::optional<ParsedHeader>();
+    const std::size_t crc_at = header.size - kChunkCrcBytes;
+    if (getU32(bytes + crc_at) != crc32(bytes, crc_at)) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadCrc, "header checksum mismatch", 0, -1});
+    }
+    meta.workload.assign(
+        reinterpret_cast<const char *>(bytes) + kHeaderFixedBytes,
+        name_len);
+    return std::optional<ParsedHeader>(std::move(header));
+}
+
+Expected<ChunkFrame, TraceError>
+parseChunkFrame(const std::uint8_t *head, const TraceMeta &meta)
+{
+    ChunkFrame frame;
+    frame.core = getU32(head);
+    frame.records = getU32(head + 4);
+    frame.payloadBytes = getU32(head + 8);
+    if (frame.core >= meta.coreCount) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadChunk,
+            "chunk claims core " + std::to_string(frame.core) + " of a " +
+                std::to_string(meta.coreCount) + "-core trace"});
+    }
+    if (frame.records == 0 || frame.records > kMaxChunkRecords) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadChunk,
+            "chunk record count " + std::to_string(frame.records) +
+                " outside 1.." + std::to_string(kMaxChunkRecords)});
+    }
+    if (frame.payloadBytes == 0
+        || frame.payloadBytes > kMaxChunkPayloadBytes) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadChunk,
+            "chunk payload size " + std::to_string(frame.payloadBytes) +
+                " outside 1.." + std::to_string(kMaxChunkPayloadBytes)});
+    }
+    return frame;
+}
+
+Expected<bool, TraceError>
+decodeChunk(const std::uint8_t *bytes, const ChunkFrame &frame,
+            std::vector<MemRef> &out)
+{
+    const std::size_t crc_at = frame.size() - kChunkCrcBytes;
+    const std::uint32_t stored = getU32(bytes + crc_at);
+    const std::uint32_t computed = crc32(bytes, crc_at);
+    if (stored != computed) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadCrc,
+            "chunk checksum mismatch (stored " + std::to_string(stored) +
+                ", computed " + std::to_string(computed) + ")"});
+    }
+
+    const std::size_t first = out.size();
+    const auto reject = [&](std::string detail) {
+        out.resize(first);
+        return unexpected(
+            TraceError{TraceErrorKind::BadChunk, std::move(detail)});
+    };
+    const std::uint8_t *p = bytes + kChunkHeaderBytes;
+    const std::uint8_t *end = p + frame.payloadBytes;
+    std::uint64_t prev_vaddr = 0;
+    std::uint64_t prev_pc = 0;
+    for (std::uint32_t i = 0; i < frame.records; ++i) {
+        if (p == end) {
+            return reject("payload ends after " + std::to_string(i) +
+                          " of " + std::to_string(frame.records) +
+                          " records");
+        }
+        const std::uint8_t flags = *p++;
+        if (flags & static_cast<std::uint8_t>(~kFlagMask)) {
+            return reject("reserved flag bits set in record " +
+                          std::to_string(i));
+        }
+        std::uint64_t vaddr_zz = 0;
+        std::uint64_t pc_zz = 0;
+        std::uint64_t gap = 0;
+        if (!getVarint(&p, end, &vaddr_zz)
+            || !getVarint(&p, end, &pc_zz)
+            || !getVarint(&p, end, &gap)) {
+            return reject("malformed varint in record " +
+                          std::to_string(i));
+        }
+        if (gap > UINT32_MAX) {
+            return reject("instruction gap overflows 32 bits in record " +
+                          std::to_string(i));
+        }
+        prev_vaddr += static_cast<std::uint64_t>(unzigzag(vaddr_zz));
+        prev_pc += static_cast<std::uint64_t>(unzigzag(pc_zz));
+        MemRef ref;
+        ref.vaddr = prev_vaddr;
+        ref.pc = prev_pc;
+        ref.instGap = static_cast<std::uint32_t>(gap);
+        ref.isWrite = (flags & kFlagWrite) != 0;
+        ref.dependent = (flags & kFlagDependent) != 0;
+        out.push_back(ref);
+    }
+    if (p != end) {
+        return reject(std::to_string(end - p) +
+                      " trailing bytes after the last record");
+    }
+    return true;
+}
+
+TraceError
+truncatedHeaderError(std::size_t available)
+{
+    if (available < kHeaderFixedBytes) {
+        return TraceError{TraceErrorKind::Truncated,
+                          "trace ends inside the fixed header (" +
+                              std::to_string(available) + " of " +
+                              std::to_string(kHeaderFixedBytes) +
+                              " bytes)",
+                          0, -1};
+    }
+    return TraceError{
+        TraceErrorKind::Truncated,
+        "trace ends inside the workload name / header checksum",
+        kHeaderFixedBytes, -1};
+}
+
+TraceError
+truncatedChunkError(std::uint64_t available)
+{
+    return TraceError{TraceErrorKind::Truncated,
+                      "trace ends inside a chunk (" +
+                          std::to_string(available) +
+                          " bytes of an unfinished frame)"};
+}
+
+TraceError
+countMismatchError(const TraceMeta &meta, std::uint64_t seen)
+{
+    return TraceError{TraceErrorKind::CountMismatch,
+                      "header promises " +
+                          std::to_string(meta.recordCount) +
+                          " records, chunks hold " +
+                          std::to_string(seen) +
+                          " (unfinished or truncated recording?)"};
 }
 
 } // namespace bear::trace

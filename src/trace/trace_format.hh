@@ -13,6 +13,11 @@
  * reported by index and byte offset instead of desynchronising the
  * rest of the file.
  *
+ * Every decision about the on-disk layout lives here: the encoder and
+ * the one validating parser (parseHeader, parseChunkFrame,
+ * decodeChunk).  TraceReader and StreamingTraceDecoder are I/O shells
+ * around it that only attach offsets and chunk indices to errors.
+ *
  * Everything here is dependency-free and byte-order explicit
  * (little-endian on disk regardless of host), so traces recorded on
  * one machine replay bit-exactly on another.
@@ -23,8 +28,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "common/expected.hh"
+#include "common/types.hh"
+#include "core/trace.hh"
 
 namespace bear::trace
 {
@@ -50,6 +60,13 @@ constexpr std::uint32_t kMaxChunkPayloadBytes = 1U << 17;
 /** Workload names longer than this do not fit the u8 length field. */
 constexpr std::size_t kMaxWorkloadNameLength = 255;
 
+/**
+ * Format-wide cap on the header's core count.  Readers size per-core
+ * state from that field, so a larger count is BadHeader before any
+ * such state exists (and TraceWriter refuses to write one).
+ */
+constexpr std::uint32_t kMaxCoreCount = 4096;
+
 /** Per-record flag bits; the remaining bits must read back as zero. */
 constexpr std::uint8_t kFlagWrite = 1U << 0;
 constexpr std::uint8_t kFlagDependent = 1U << 1;
@@ -64,6 +81,10 @@ constexpr std::size_t kHeaderFixedBytes =
  *  then the CRC32 of everything before it. */
 constexpr std::size_t kChunkHeaderBytes = 12;
 constexpr std::size_t kChunkCrcBytes = 4;
+
+/** Longest possible header: fixed prefix, 255-byte name, CRC32. */
+constexpr std::size_t kMaxHeaderBytes =
+    kHeaderFixedBytes + kMaxWorkloadNameLength + kChunkCrcBytes;
 
 /** What went wrong while opening or decoding a trace file. */
 enum class TraceErrorKind : std::uint8_t
@@ -152,6 +173,63 @@ static_assert(unzigzag(zigzag(INT64_MAX)) == INT64_MAX);
 
 /** Serialise @p meta into the on-disk header (including its CRC). */
 std::vector<std::uint8_t> encodeHeader(const TraceMeta &meta);
+
+/** A validated header and its encoded size (the first chunk's offset). */
+struct ParsedHeader
+{
+    TraceMeta meta;
+    std::size_t size = 0;
+};
+
+/**
+ * Validate the header in the first @p available bytes at @p bytes:
+ * magic, version and core count (in 1..kMaxCoreCount) once the fixed
+ * prefix is present, then the header CRC.  std::nullopt means more
+ * bytes are needed; errors carry the failing field's offset.
+ */
+[[nodiscard]] Expected<std::optional<ParsedHeader>, TraceError>
+parseHeader(const std::uint8_t *bytes, std::size_t available);
+
+/** A chunk's frame header: whose records, how many, how long. */
+struct ChunkFrame
+{
+    CoreId core = 0;
+    std::uint32_t records = 0;
+    std::uint32_t payloadBytes = 0;
+
+    /** Frame header + payload + CRC32. */
+    std::size_t size() const
+    {
+        return kChunkHeaderBytes + payloadBytes + kChunkCrcBytes;
+    }
+};
+
+/**
+ * Validate the frame header at @p head against @p meta: core below
+ * the core count, 1..kMaxChunkRecords records, 1..kMaxChunkPayloadBytes
+ * of payload.  Reads only kChunkHeaderBytes, so a filtered reader can
+ * skip foreign chunks unread.  Errors from this and decodeChunk()
+ * carry no offset or chunk index; the caller attaches them.
+ */
+[[nodiscard]] Expected<ChunkFrame, TraceError>
+parseChunkFrame(const std::uint8_t *head, const TraceMeta &meta);
+
+/**
+ * Verify the CRC32 of the frame.size() bytes at @p bytes, then append
+ * the chunk's records to @p out (left as it was on failure).
+ */
+[[nodiscard]] Expected<bool, TraceError>
+decodeChunk(const std::uint8_t *bytes, const ChunkFrame &frame,
+            std::vector<MemRef> &out);
+
+/** The input ended after @p available bytes of an unfinished header. */
+TraceError truncatedHeaderError(std::size_t available);
+
+/** The input ended after @p available bytes of an unfinished chunk. */
+TraceError truncatedChunkError(std::uint64_t available);
+
+/** The input ended cleanly but holds @p seen != meta.recordCount. */
+TraceError countMismatchError(const TraceMeta &meta, std::uint64_t seen);
 
 } // namespace bear::trace
 

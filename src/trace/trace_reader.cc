@@ -1,9 +1,9 @@
 #include "trace/trace_reader.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/log.hh"
-#include "trace/trace_stream_decoder.hh"
 
 namespace bear::trace
 {
@@ -42,75 +42,25 @@ TraceReader::open(const std::string &path)
     }
     const auto file_size = static_cast<std::uint64_t>(end_pos);
 
-    if (file_size < kHeaderFixedBytes) {
-        return unexpected(TraceError{
-            TraceErrorKind::Truncated,
-            "file ends inside the fixed header (" +
-                std::to_string(file_size) + " of " +
-                std::to_string(kHeaderFixedBytes) + " bytes)",
-            0, -1});
-    }
-
-    std::uint8_t fixed[kHeaderFixedBytes];
-    if (!readAt(in, 0, fixed, sizeof(fixed))) {
+    // The longest possible header fits in kMaxHeaderBytes, so one read
+    // hands the parser everything it can ask for; "needs more" then
+    // means the file itself ends inside the header.
+    std::uint8_t header[kMaxHeaderBytes];
+    const std::size_t available = static_cast<std::size_t>(
+        std::min<std::uint64_t>(file_size, kMaxHeaderBytes));
+    if (!readAt(in, 0, header, available)) {
         return unexpected(TraceError{TraceErrorKind::Io,
                                      "cannot read header of " + path, 0,
                                      -1});
     }
-    if (std::memcmp(fixed, kMagic, sizeof(kMagic)) != 0) {
-        return unexpected(TraceError{TraceErrorKind::BadMagic,
-                                     "not a .beartrace file", 0, -1});
-    }
-    const std::uint32_t version = getU32(fixed + 8);
-    if (version != kFormatVersion) {
-        return unexpected(TraceError{
-            TraceErrorKind::BadVersion,
-            "file is format v" + std::to_string(version) +
-                ", this build reads v" +
-                std::to_string(kFormatVersion),
-            8, -1});
-    }
+    auto parsed = parseHeader(header, available);
+    if (!parsed.hasValue())
+        return unexpected(parsed.error());
+    if (!*parsed)
+        return unexpected(truncatedHeaderError(available));
 
-    TraceMeta meta;
-    meta.coreCount = getU32(fixed + 12);
-    meta.seed = getU64(fixed + 16);
-    meta.recordCount = getU64(fixed + 24);
-    const std::size_t name_len = fixed[32];
-    if (meta.coreCount == 0) {
-        return unexpected(TraceError{TraceErrorKind::BadHeader,
-                                     "core count is zero", 12, -1});
-    }
-
-    const std::uint64_t header_size =
-        kHeaderFixedBytes + name_len + kChunkCrcBytes;
-    if (file_size < header_size) {
-        return unexpected(TraceError{
-            TraceErrorKind::Truncated,
-            "file ends inside the workload name / header checksum",
-            kHeaderFixedBytes, -1});
-    }
-
-    std::vector<std::uint8_t> header(header_size);
-    if (!readAt(in, 0, header.data(), header.size())) {
-        return unexpected(TraceError{TraceErrorKind::Io,
-                                     "cannot read header of " + path, 0,
-                                     -1});
-    }
-    const std::uint32_t stored =
-        getU32(header.data() + header_size - kChunkCrcBytes);
-    const std::uint32_t computed =
-        crc32(header.data(), header_size - kChunkCrcBytes);
-    if (stored != computed) {
-        return unexpected(TraceError{
-            TraceErrorKind::BadCrc, "header checksum mismatch", 0, -1});
-    }
-    meta.workload.assign(
-        reinterpret_cast<const char *>(header.data())
-            + kHeaderFixedBytes,
-        name_len);
-
-    return TraceReader(std::move(in), std::move(meta), file_size,
-                       header_size);
+    return TraceReader(std::move(in), std::move((*parsed)->meta),
+                       file_size, (*parsed)->size);
 }
 
 TraceReader::TraceReader(std::ifstream in, TraceMeta meta,
@@ -123,10 +73,11 @@ TraceReader::TraceReader(std::ifstream in, TraceMeta meta,
 }
 
 TraceError
-TraceReader::errorAt(TraceErrorKind kind, std::string detail) const
+TraceReader::attribute(TraceError error) const
 {
-    return TraceError{kind, std::move(detail), position_,
-                      static_cast<std::int64_t>(chunk_index_)};
+    error.offset = position_;
+    error.chunk = static_cast<std::int64_t>(chunk_index_);
+    return error;
 }
 
 void
@@ -151,111 +102,56 @@ Expected<bool, TraceError>
 TraceReader::loadChunk()
 {
     for (;;) {
-        if (position_ == file_size_) {
+        const std::uint64_t available = file_size_ - position_;
+        if (available == 0) {
             if (records_seen_ != meta_.recordCount) {
-                return unexpected(errorAt(
-                    TraceErrorKind::CountMismatch,
-                    "header promises " +
-                        std::to_string(meta_.recordCount) +
-                        " records, chunks hold " +
-                        std::to_string(records_seen_) +
-                        " (unfinished or truncated recording?)"));
+                return unexpected(attribute(
+                    countMismatchError(meta_, records_seen_)));
             }
             return false; // clean end of trace
         }
-        if (position_ + kChunkHeaderBytes > file_size_) {
-            return unexpected(errorAt(
-                TraceErrorKind::Truncated,
-                "file ends inside a chunk header"));
-        }
+        if (available < kChunkHeaderBytes)
+            return unexpected(attribute(truncatedChunkError(available)));
 
         std::uint8_t head[kChunkHeaderBytes];
         if (!readAt(in_, position_, head, sizeof(head))) {
-            return unexpected(
-                errorAt(TraceErrorKind::Io, "chunk header read failed"));
+            return unexpected(attribute(TraceError{
+                TraceErrorKind::Io, "chunk header read failed"}));
         }
-        const CoreId core = getU32(head);
-        const std::uint32_t records = getU32(head + 4);
-        const std::uint32_t payload_bytes = getU32(head + 8);
-        if (core >= meta_.coreCount) {
-            return unexpected(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk claims core " + std::to_string(core) +
-                    " of a " + std::to_string(meta_.coreCount) +
-                    "-core trace"));
-        }
-        if (records == 0 || records > kMaxChunkRecords) {
-            return unexpected(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk record count " + std::to_string(records) +
-                    " outside 1.." +
-                    std::to_string(kMaxChunkRecords)));
-        }
-        if (payload_bytes == 0
-            || payload_bytes > kMaxChunkPayloadBytes) {
-            return unexpected(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk payload size " + std::to_string(payload_bytes) +
-                    " outside 1.." +
-                    std::to_string(kMaxChunkPayloadBytes)));
-        }
-        const std::uint64_t frame_end = position_ + kChunkHeaderBytes
-            + payload_bytes + kChunkCrcBytes;
-        if (frame_end > file_size_) {
-            return unexpected(errorAt(
-                TraceErrorKind::Truncated,
-                "file ends inside chunk payload (need " +
-                    std::to_string(frame_end - file_size_) +
-                    " more bytes)"));
-        }
+        auto frame = parseChunkFrame(head, meta_);
+        if (!frame.hasValue())
+            return unexpected(attribute(frame.error()));
+        if (available < frame->size())
+            return unexpected(attribute(truncatedChunkError(available)));
 
-        if (filter_ != kAllCores && core != filter_) {
+        if (filter_ != kAllCores && frame->core != filter_) {
             // Skip by frame: the payload stays unread (and its CRC
             // unchecked; replay relies on the full-file validation
             // pass TraceReplayStream::open performed).
-            records_seen_ += records;
-            position_ = frame_end;
+            records_seen_ += frame->records;
+            position_ += frame->size();
             ++chunk_index_;
             ++chunks_seen_;
             continue;
         }
 
-        std::vector<std::uint8_t> frame(
-            kChunkHeaderBytes + payload_bytes + kChunkCrcBytes);
-        std::memcpy(frame.data(), head, kChunkHeaderBytes);
+        std::vector<std::uint8_t> bytes(frame->size());
+        std::memcpy(bytes.data(), head, kChunkHeaderBytes);
         if (!readAt(in_, position_ + kChunkHeaderBytes,
-                    frame.data() + kChunkHeaderBytes,
-                    payload_bytes + kChunkCrcBytes)) {
-            return unexpected(
-                errorAt(TraceErrorKind::Io, "chunk read failed"));
+                    bytes.data() + kChunkHeaderBytes,
+                    bytes.size() - kChunkHeaderBytes)) {
+            return unexpected(attribute(
+                TraceError{TraceErrorKind::Io, "chunk read failed"}));
         }
-        const std::uint32_t stored =
-            getU32(frame.data() + frame.size() - kChunkCrcBytes);
-        const std::uint32_t computed = crc32(
-            frame.data(), frame.size() - kChunkCrcBytes);
-        if (stored != computed) {
-            return unexpected(errorAt(
-                TraceErrorKind::BadCrc,
-                "chunk checksum mismatch (stored " +
-                    std::to_string(stored) + ", computed " +
-                    std::to_string(computed) + ")"));
-        }
-
-        // Record decoding is shared with the socket-streaming path
-        // (trace_stream_decoder); only the offset/chunk attribution
-        // is ours.
-        auto decoded = decodeChunkRecords(
-            frame.data() + kChunkHeaderBytes, payload_bytes, records);
-        if (!decoded.hasValue()) {
-            return unexpected(
-                errorAt(decoded.error().kind, decoded.error().detail));
-        }
-        buffer_ = std::move(decoded.value());
+        buffer_.clear();
+        auto decoded = decodeChunk(bytes.data(), *frame, buffer_);
+        if (!decoded.hasValue())
+            return unexpected(attribute(decoded.error()));
 
         buffer_pos_ = 0;
-        buffer_core_ = core;
-        records_seen_ += records;
-        position_ = frame_end;
+        buffer_core_ = frame->core;
+        records_seen_ += frame->records;
+        position_ += frame->size();
         ++chunk_index_;
         ++chunks_seen_;
         return true;

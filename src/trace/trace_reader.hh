@@ -2,13 +2,14 @@
  * @file
  * Consuming .beartrace files.
  *
- * TraceReader validates eagerly and decodes lazily: open() checks the
- * magic, version, header fields and header CRC before returning, and
- * next() verifies each chunk's frame and CRC32 before decoding a
- * single record from it.  Every rejection is a TraceError naming the
- * failing chunk and byte offset — a truncated download, a flipped bit
- * or a trace from a newer format version is a loud diagnostic, never
- * a crash or a quietly wrong replay.
+ * TraceReader validates eagerly and decodes lazily: open() validates
+ * the header, and next() verifies each chunk's frame and CRC32 before
+ * decoding a single record from it.  The checks are trace_format's one
+ * parser, shared with StreamingTraceDecoder; this class only reads
+ * bytes and stamps errors with the failing chunk's offset and index.
+ * A truncated download, a flipped bit or a newer format version is
+ * the same loud diagnostic here as on a socket — never a crash or a
+ * quietly wrong replay.
  *
  * TraceReplayStream makes a recorded core a drop-in RefStream: it
  * filters the file down to one core's chunks (foreign chunks are
@@ -84,7 +85,8 @@ class TraceReader
     /** Load and decode the next matching chunk into buffer_. */
     [[nodiscard]] Expected<bool, TraceError> loadChunk();
 
-    TraceError errorAt(TraceErrorKind kind, std::string detail) const;
+    /** Stamp @p error with the current chunk's offset and index. */
+    TraceError attribute(TraceError error) const;
 
     std::ifstream in_;
     TraceMeta meta_;

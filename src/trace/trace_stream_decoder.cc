@@ -1,83 +1,16 @@
 #include "trace/trace_stream_decoder.hh"
 
-#include <cstring>
-
 #include "common/log.hh"
 
 namespace bear::trace
 {
 
-Expected<std::vector<MemRef>, TraceError>
-decodeChunkRecords(const std::uint8_t *payload,
-                   std::size_t payload_bytes, std::uint32_t records)
-{
-    std::vector<MemRef> out;
-    out.reserve(records);
-    const std::uint8_t *p = payload;
-    const std::uint8_t *end = payload + payload_bytes;
-    std::uint64_t prev_vaddr = 0;
-    std::uint64_t prev_pc = 0;
-    for (std::uint32_t i = 0; i < records; ++i) {
-        if (p == end) {
-            return unexpected(TraceError{
-                TraceErrorKind::BadChunk,
-                "payload ends after " + std::to_string(i) + " of " +
-                    std::to_string(records) + " records",
-                0, -1});
-        }
-        const std::uint8_t flags = *p++;
-        if (flags & static_cast<std::uint8_t>(~kFlagMask)) {
-            return unexpected(TraceError{
-                TraceErrorKind::BadChunk,
-                "reserved flag bits set in record " + std::to_string(i),
-                0, -1});
-        }
-        std::uint64_t vaddr_zz = 0;
-        std::uint64_t pc_zz = 0;
-        std::uint64_t gap = 0;
-        if (!getVarint(&p, end, &vaddr_zz)
-            || !getVarint(&p, end, &pc_zz)
-            || !getVarint(&p, end, &gap)) {
-            return unexpected(TraceError{
-                TraceErrorKind::BadChunk,
-                "malformed varint in record " + std::to_string(i), 0,
-                -1});
-        }
-        if (gap > UINT32_MAX) {
-            return unexpected(TraceError{
-                TraceErrorKind::BadChunk,
-                "instruction gap overflows 32 bits in record " +
-                    std::to_string(i),
-                0, -1});
-        }
-        prev_vaddr += static_cast<std::uint64_t>(unzigzag(vaddr_zz));
-        prev_pc += static_cast<std::uint64_t>(unzigzag(pc_zz));
-        MemRef ref;
-        ref.vaddr = prev_vaddr;
-        ref.pc = prev_pc;
-        ref.instGap = static_cast<std::uint32_t>(gap);
-        ref.isWrite = (flags & kFlagWrite) != 0;
-        ref.dependent = (flags & kFlagDependent) != 0;
-        out.push_back(ref);
-    }
-    if (p != end) {
-        return unexpected(TraceError{
-            TraceErrorKind::BadChunk,
-            std::to_string(end - p) +
-                " trailing bytes after the last record",
-            0, -1});
-    }
-    return out;
-}
-
 TraceError
-StreamingTraceDecoder::errorAt(TraceErrorKind kind,
-                               std::string detail) const
+StreamingTraceDecoder::attribute(TraceError error) const
 {
-    return TraceError{kind, std::move(detail), consumed_,
-                      state_ == State::Chunks
-                          ? static_cast<std::int64_t>(chunk_index_)
-                          : -1};
+    error.offset = consumed_;
+    error.chunk = static_cast<std::int64_t>(chunk_index_);
+    return error;
 }
 
 Unexpected<TraceError>
@@ -88,151 +21,57 @@ StreamingTraceDecoder::fail(TraceError error)
     return unexpected(std::move(error));
 }
 
+void
+StreamingTraceDecoder::consume(std::size_t bytes)
+{
+    pos_ += bytes;
+    consumed_ += bytes;
+}
+
 Expected<bool, TraceError>
 StreamingTraceDecoder::feed(const std::uint8_t *data, std::size_t size)
 {
     if (state_ == State::Failed)
         return unexpected(sticky_);
     buffer_.insert(buffer_.end(), data, data + size);
-    return advance();
+    auto advanced = advance();
+    // Drop the consumed prefix once per feed, not once per structure:
+    // a large feed then costs one pass, not one shift per chunk.
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+    return advanced;
 }
 
 Expected<bool, TraceError>
 StreamingTraceDecoder::advance()
 {
     if (state_ == State::Header) {
-        auto r = decodeHeader();
-        if (!r.hasValue())
-            return r;
-        if (!*r)
+        // The header starts at stream offset 0, so parseHeader's
+        // offsets are already absolute.
+        auto parsed = parseHeader(buffer_.data() + pos_, buffered());
+        if (!parsed.hasValue())
+            return fail(parsed.error());
+        if (!*parsed)
             return true; // header still incomplete; wait for more
+        meta_ = std::move((*parsed)->meta);
+        core_records_.assign(meta_.coreCount, {});
+        consume((*parsed)->size);
+        state_ = State::Chunks;
     }
-    return decodeChunks();
-}
-
-Expected<bool, TraceError>
-StreamingTraceDecoder::decodeHeader()
-{
-    if (buffer_.size() < kHeaderFixedBytes)
-        return false;
-    const std::uint8_t *fixed = buffer_.data();
-    if (std::memcmp(fixed, kMagic, sizeof(kMagic)) != 0) {
-        return fail(errorAt(TraceErrorKind::BadMagic,
-                            "not a .beartrace stream"));
-    }
-    const std::uint32_t version = getU32(fixed + 8);
-    if (version != kFormatVersion) {
-        return fail(TraceError{
-            TraceErrorKind::BadVersion,
-            "stream is format v" + std::to_string(version) +
-                ", this build reads v" + std::to_string(kFormatVersion),
-            8, -1});
-    }
-    TraceMeta meta;
-    meta.coreCount = getU32(fixed + 12);
-    meta.seed = getU64(fixed + 16);
-    meta.recordCount = getU64(fixed + 24);
-    const std::size_t name_len = fixed[32];
-    if (meta.coreCount == 0) {
-        return fail(TraceError{TraceErrorKind::BadHeader,
-                               "core count is zero", 12, -1});
-    }
-    if (meta.coreCount > kMaxStreamCoreCount) {
-        return fail(TraceError{
-            TraceErrorKind::BadHeader,
-            "core count " + std::to_string(meta.coreCount)
-                + " exceeds the streaming cap of "
-                + std::to_string(kMaxStreamCoreCount),
-            12, -1});
-    }
-    const std::size_t header_size =
-        kHeaderFixedBytes + name_len + kChunkCrcBytes;
-    if (buffer_.size() < header_size)
-        return false;
-    const std::uint32_t stored =
-        getU32(buffer_.data() + header_size - kChunkCrcBytes);
-    const std::uint32_t computed =
-        crc32(buffer_.data(), header_size - kChunkCrcBytes);
-    if (stored != computed) {
-        return fail(errorAt(TraceErrorKind::BadCrc,
-                            "header checksum mismatch"));
-    }
-    meta.workload.assign(
-        reinterpret_cast<const char *>(buffer_.data())
-            + kHeaderFixedBytes,
-        name_len);
-
-    meta_ = std::move(meta);
-    core_records_.assign(meta_.coreCount, {});
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin()
-                      + static_cast<std::ptrdiff_t>(header_size));
-    consumed_ += header_size;
-    state_ = State::Chunks;
-    return true;
-}
-
-Expected<bool, TraceError>
-StreamingTraceDecoder::decodeChunks()
-{
-    while (buffer_.size() >= kChunkHeaderBytes) {
-        const std::uint8_t *head = buffer_.data();
-        const CoreId core = getU32(head);
-        const std::uint32_t records = getU32(head + 4);
-        const std::uint32_t payload_bytes = getU32(head + 8);
-        if (core >= meta_.coreCount) {
-            return fail(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk claims core " + std::to_string(core) + " of a " +
-                    std::to_string(meta_.coreCount) + "-core trace"));
-        }
-        if (records == 0 || records > kMaxChunkRecords) {
-            return fail(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk record count " + std::to_string(records) +
-                    " outside 1.." + std::to_string(kMaxChunkRecords)));
-        }
-        if (payload_bytes == 0
-            || payload_bytes > kMaxChunkPayloadBytes) {
-            return fail(errorAt(
-                TraceErrorKind::BadChunk,
-                "chunk payload size " + std::to_string(payload_bytes) +
-                    " outside 1.." +
-                    std::to_string(kMaxChunkPayloadBytes)));
-        }
-        const std::size_t frame_size =
-            kChunkHeaderBytes + payload_bytes + kChunkCrcBytes;
-        if (buffer_.size() < frame_size)
+    while (buffered() >= kChunkHeaderBytes) {
+        const std::uint8_t *bytes = buffer_.data() + pos_;
+        auto frame = parseChunkFrame(bytes, meta_);
+        if (!frame.hasValue())
+            return fail(attribute(frame.error()));
+        if (buffered() < frame->size())
             return true; // frame incomplete; wait for more bytes
-
-        const std::uint32_t stored =
-            getU32(buffer_.data() + frame_size - kChunkCrcBytes);
-        const std::uint32_t computed =
-            crc32(buffer_.data(), frame_size - kChunkCrcBytes);
-        if (stored != computed) {
-            return fail(errorAt(
-                TraceErrorKind::BadCrc,
-                "chunk checksum mismatch (stored " +
-                    std::to_string(stored) + ", computed " +
-                    std::to_string(computed) + ")"));
-        }
-
-        auto decoded = decodeChunkRecords(
-            buffer_.data() + kChunkHeaderBytes, payload_bytes, records);
-        if (!decoded.hasValue()) {
-            TraceError e = decoded.error();
-            e.offset = consumed_;
-            e.chunk = static_cast<std::int64_t>(chunk_index_);
-            return fail(std::move(e));
-        }
-        auto &into = core_records_[core];
-        into.insert(into.end(), decoded->begin(), decoded->end());
-        records_seen_ += records;
-
-        buffer_.erase(buffer_.begin(),
-                      buffer_.begin()
-                          + static_cast<std::ptrdiff_t>(frame_size));
-        consumed_ += frame_size;
+        auto decoded =
+            decodeChunk(bytes, *frame, core_records_[frame->core]);
+        if (!decoded.hasValue())
+            return fail(attribute(decoded.error()));
+        records_seen_ += frame->records;
+        consume(frame->size());
         ++chunk_index_;
     }
     return true;
@@ -243,27 +82,12 @@ StreamingTraceDecoder::finish()
 {
     if (state_ == State::Failed)
         return unexpected(sticky_);
-    if (state_ == State::Header) {
-        return fail(errorAt(
-            TraceErrorKind::Truncated,
-            "stream ends inside the header (" +
-                std::to_string(buffer_.size()) + " bytes buffered)"));
-    }
-    if (!buffer_.empty()) {
-        return fail(errorAt(
-            TraceErrorKind::Truncated,
-            "stream ends inside a chunk (" +
-                std::to_string(buffer_.size()) +
-                " bytes of an unfinished frame)"));
-    }
-    if (records_seen_ != meta_.recordCount) {
-        return fail(errorAt(
-            TraceErrorKind::CountMismatch,
-            "header promises " + std::to_string(meta_.recordCount) +
-                " records, chunks hold " +
-                std::to_string(records_seen_) +
-                " (unfinished or truncated recording?)"));
-    }
+    if (state_ == State::Header)
+        return fail(truncatedHeaderError(buffered()));
+    if (buffered() != 0)
+        return fail(attribute(truncatedChunkError(buffered())));
+    if (records_seen_ != meta_.recordCount)
+        return fail(attribute(countMismatchError(meta_, records_seen_)));
     return true;
 }
 

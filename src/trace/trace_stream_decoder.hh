@@ -6,16 +6,19 @@
  * receives the same format as arbitrarily sliced socket payloads.
  * StreamingTraceDecoder is the incremental counterpart: feed() it any
  * prefix of a .beartrace byte stream and it validates and decodes
- * exactly as much as has arrived — header first (magic, version,
- * fields, header CRC), then chunk frames (bounds-checked lengths
- * before any allocation, CRC32 per chunk) — accumulating records per
- * core.  finish() runs the end-of-stream checks (nothing buffered
- * mid-structure, decoded records match the header's record count).
+ * exactly as much as has arrived — header first, then chunk frames —
+ * accumulating records per core.  finish() runs the end-of-stream
+ * checks (nothing buffered mid-structure, decoded records match the
+ * header's record count).
  *
- * Every rejection is the same TraceError taxonomy TraceReader raises,
- * so a truncated upload or a flipped bit on the wire is a loud,
- * attributable diagnostic at the connection that sent it — never a
- * crash and never a quietly wrong simulation.
+ * The checks are trace_format's one parser, shared with TraceReader
+ * (the core count is capped before per-core vectors exist, chunk
+ * lengths are bounded before any allocation).  This class only
+ * buffers bytes and stamps errors with the failing chunk's stream
+ * offset and index, so a corrupt upload gets the same kind, offset,
+ * chunk and wording as the same bytes on disk, however they were
+ * sliced.  Bytes are consumed by a read offset and the buffer is
+ * compacted once per feed(), so one large feed costs linear time.
  *
  * VectorReplayStream adapts one core's decoded records into the
  * RefStream interface with the same wrap-around semantics as
@@ -36,25 +39,6 @@
 
 namespace bear::trace
 {
-
-/**
- * Decode the delta-encoded records of one chunk payload (flags byte +
- * three varints per record, zigzag address/PC deltas).  The error, if
- * any, carries kind and detail only; callers attach their own byte
- * offset and chunk index.  Shared by TraceReader::loadChunk and
- * StreamingTraceDecoder so the two decode paths cannot drift.
- */
-[[nodiscard]] Expected<std::vector<MemRef>, TraceError>
-decodeChunkRecords(const std::uint8_t *payload,
-                   std::size_t payload_bytes, std::uint32_t records);
-
-/**
- * Upper bound on the core count a *streamed* header may claim.  The
- * file reader can trust its caller; a daemon cannot let a hostile
- * header commit it to per-core allocations, so anything above this is
- * BadHeader before the per-core record vectors exist.
- */
-constexpr std::uint32_t kMaxStreamCoreCount = 4096;
 
 /** Push-model .beartrace decoder over an in-memory reassembly buffer. */
 class StreamingTraceDecoder
@@ -77,16 +61,7 @@ class StreamingTraceDecoder
      */
     [[nodiscard]] Expected<bool, TraceError> finish();
 
-    /** Has the header been decoded yet (meta() is meaningful)? */
-    bool headerDone() const { return state_ != State::Header; }
-
     const TraceMeta &meta() const { return meta_; }
-
-    /** Decoded records so far, per core (indexed 0..coreCount-1). */
-    const std::vector<std::vector<MemRef>> &coreRecords() const
-    {
-        return core_records_;
-    }
 
     /** Move the decoded records out (decoder keeps meta and counts). */
     std::vector<std::vector<MemRef>> takeCoreRecords()
@@ -95,7 +70,6 @@ class StreamingTraceDecoder
     }
 
     std::uint64_t recordsDecoded() const { return records_seen_; }
-    std::uint64_t bytesConsumed() const { return consumed_; }
 
   private:
     enum class State : std::uint8_t
@@ -105,17 +79,21 @@ class StreamingTraceDecoder
         Failed, ///< first error is sticky
     };
 
-    /** Decode every complete structure in buffer_. */
+    /** Decode every complete structure in buffer_ past pos_. */
     [[nodiscard]] Expected<bool, TraceError> advance();
-    [[nodiscard]] Expected<bool, TraceError> decodeHeader();
-    [[nodiscard]] Expected<bool, TraceError> decodeChunks();
 
-    TraceError errorAt(TraceErrorKind kind, std::string detail) const;
+    /** Stamp @p error with the current chunk's offset and index. */
+    TraceError attribute(TraceError error) const;
     Unexpected<TraceError> fail(TraceError error);
 
+    /** Step the read offset past @p bytes of decoded structure. */
+    void consume(std::size_t bytes);
+    std::size_t buffered() const { return buffer_.size() - pos_; }
+
     State state_ = State::Header;
-    std::vector<std::uint8_t> buffer_; ///< unconsumed stream bytes
-    std::uint64_t consumed_ = 0; ///< stream offset of buffer_[0]
+    std::vector<std::uint8_t> buffer_; ///< stream bytes; [pos_, end) unread
+    std::size_t pos_ = 0;        ///< read offset into buffer_
+    std::uint64_t consumed_ = 0; ///< stream offset of buffer_[pos_]
     TraceMeta meta_;
     std::vector<std::vector<MemRef>> core_records_;
     std::uint64_t records_seen_ = 0;

@@ -11,10 +11,12 @@ namespace bear::trace
 Expected<TraceWriter, TraceError>
 TraceWriter::create(const std::string &path, const TraceMeta &meta)
 {
-    if (meta.coreCount == 0) {
-        return unexpected(TraceError{TraceErrorKind::BadHeader,
-                                     "core count must be positive", 0,
-                                     -1});
+    if (meta.coreCount == 0 || meta.coreCount > kMaxCoreCount) {
+        return unexpected(TraceError{
+            TraceErrorKind::BadHeader,
+            "core count " + std::to_string(meta.coreCount) +
+                " outside 1.." + std::to_string(kMaxCoreCount),
+            0, -1});
     }
     if (meta.workload.size() > kMaxWorkloadNameLength) {
         return unexpected(TraceError{

@@ -152,6 +152,20 @@ TEST(Experiment, JobBuilders)
         EXPECT_EQ(job.design, DesignKind::Bear);
 }
 
+TEST(Experiment, All54SwitchParsedThroughEnvPath)
+{
+    unsetenv("BEAR_ALL54");
+    EXPECT_EQ(allJobs(DesignKind::Bear).size(), 16u + 8u);
+    setenv("BEAR_ALL54", "0", 1);
+    EXPECT_EQ(allJobs(DesignKind::Bear).size(), 16u + 8u);
+    setenv("BEAR_ALL54", "1", 1);
+    EXPECT_EQ(allJobs(DesignKind::Bear).size(), 16u + 38u);
+    setenv("BEAR_ALL54", "yes", 1);
+    EXPECT_EXIT(allJobs(DesignKind::Bear), ::testing::ExitedWithCode(1),
+                "BEAR_ALL54=\"yes\"");
+    unsetenv("BEAR_ALL54");
+}
+
 TEST(Experiment, RetargetChangesDesignOnly)
 {
     auto jobs = rateJobs(DesignKind::Alloy);

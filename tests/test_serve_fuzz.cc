@@ -25,6 +25,7 @@
 
 #include "serve/frame.hh"
 #include "serve/serve_error.hh"
+#include "tests/mutation.hh"
 
 using namespace bear;
 using namespace bear::serve;
@@ -32,29 +33,8 @@ using namespace bear::serve;
 namespace
 {
 
-/** splitmix64: tiny, seedable, and good enough to pick mutations. */
-class Rng
-{
-  public:
-    explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-    std::uint64_t next()
-    {
-        std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        return z ^ (z >> 31);
-    }
-
-    /** Uniform in [0, bound); bound must be nonzero. */
-    std::size_t below(std::size_t bound)
-    {
-        return static_cast<std::size_t>(next() % bound);
-    }
-
-  private:
-    std::uint64_t state_;
-};
+using Rng = test::SplitMix64;
+using test::mutate;
 
 /** A realistic session recording: every frame type a client sends. */
 std::vector<std::uint8_t>
@@ -73,57 +53,6 @@ recordedSession(Rng &rng)
           encodeFrame(FrameType::Bye, {})})
         wire.insert(wire.end(), frame.begin(), frame.end());
     return wire;
-}
-
-/** Apply one random mutation; may leave the stream valid. */
-std::vector<std::uint8_t>
-mutate(std::vector<std::uint8_t> bytes, Rng &rng)
-{
-    if (bytes.empty())
-        return bytes;
-    switch (rng.below(5)) {
-    case 0: { // flip one bit somewhere
-        const std::size_t at = rng.below(bytes.size());
-        bytes[at] ^= static_cast<std::uint8_t>(1U << rng.below(8));
-        break;
-    }
-    case 1: { // truncate at a random point
-        bytes.resize(rng.below(bytes.size() + 1));
-        break;
-    }
-    case 2: { // duplicate a random slice in place
-        const std::size_t begin = rng.below(bytes.size());
-        const std::size_t len =
-            1 + rng.below(bytes.size() - begin);
-        std::vector<std::uint8_t> slice(
-            bytes.begin() + static_cast<std::ptrdiff_t>(begin),
-            bytes.begin()
-                + static_cast<std::ptrdiff_t>(begin + len));
-        bytes.insert(bytes.begin()
-                         + static_cast<std::ptrdiff_t>(begin + len),
-                     slice.begin(), slice.end());
-        break;
-    }
-    case 3: { // delete a random slice
-        const std::size_t begin = rng.below(bytes.size());
-        const std::size_t len =
-            1 + rng.below(bytes.size() - begin);
-        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(begin),
-                    bytes.begin()
-                        + static_cast<std::ptrdiff_t>(begin + len));
-        break;
-    }
-    default: { // insert random garbage
-        const std::size_t at = rng.below(bytes.size() + 1);
-        std::vector<std::uint8_t> garbage(1 + rng.below(16));
-        for (auto &b : garbage)
-            b = static_cast<std::uint8_t>(rng.next());
-        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
-                     garbage.begin(), garbage.end());
-        break;
-    }
-    }
-    return bytes;
 }
 
 /**

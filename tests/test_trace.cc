@@ -2,14 +2,19 @@
  * @file
  * Unit tests for the binary trace subsystem (src/trace): encoding
  * round-trips, the RecordingStream tee, per-core replay, corruption
- * rejection, and the headline guarantee — a recorded workload
- * replayed through TraceReplayStream produces a byte-identical
- * schema-v2 JSON report to the live-generator run.
+ * rejection, entry-point parity (the file reader and the streaming
+ * decoder settle every corrupt input identically, however it is
+ * sliced), and the headline guarantee — a recorded workload replayed
+ * through TraceReplayStream produces a byte-identical schema-v2 JSON
+ * report to the live-generator run.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,7 +23,9 @@
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "trace/trace_format.hh"
+#include "tests/mutation.hh"
 #include "trace/trace_reader.hh"
+#include "trace/trace_stream_decoder.hh"
 #include "trace/trace_writer.hh"
 #include "workloads/workload.hh"
 
@@ -220,6 +227,18 @@ TEST(TraceWriterReader, GeneratorStreamsRoundTripExactly)
             ASSERT_EQ(got.dependent, expected.dependent);
         }
         EXPECT_EQ((*stream)->wrapCount(), 0u);
+    }
+}
+
+TEST(TraceWriterReader, WriterRefusesCoreCountsOutsideTheFormatCap)
+{
+    TraceMeta meta;
+    meta.workload = "cap";
+    for (const std::uint32_t cores : {0U, kMaxCoreCount + 1}) {
+        meta.coreCount = cores;
+        auto created = TraceWriter::create(tempPath("cap"), meta);
+        ASSERT_FALSE(created.hasValue()) << cores << " cores";
+        EXPECT_EQ(created.error().kind, TraceErrorKind::BadHeader);
     }
 }
 
@@ -454,6 +473,224 @@ TEST(TraceCorruption, GarbageChunkHeaderIsBadChunkNotCrash)
     r = decodeAll(path);
     ASSERT_FALSE(r.hasValue());
     EXPECT_EQ(r.error().kind, TraceErrorKind::BadChunk);
+}
+
+namespace
+{
+
+/**
+ * How one entry point settled on a byte image: accepted, or rejected
+ * with an error kind, offset and chunk.  records counts the records
+ * of the chunks decoded before the verdict.
+ */
+struct Verdict
+{
+    bool accepted = false;
+    TraceErrorKind kind = TraceErrorKind::Io;
+    std::uint64_t offset = 0;
+    std::int64_t chunk = -1;
+    std::uint64_t records = 0;
+
+    bool operator==(const Verdict &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Verdict &v)
+{
+    if (v.accepted)
+        return os << "accepted " << v.records << " records";
+    return os << traceErrorKindName(v.kind) << " at offset " << v.offset
+              << " (chunk " << v.chunk << ") after " << v.records
+              << " records";
+}
+
+Verdict
+verdictOf(const Expected<bool, TraceError> &result,
+          std::uint64_t records)
+{
+    Verdict v;
+    v.records = records;
+    v.accepted = result.hasValue();
+    if (!v.accepted) {
+        v.kind = result.error().kind;
+        v.offset = result.error().offset;
+        v.chunk = result.error().chunk;
+    }
+    return v;
+}
+
+/** The file reader's full unfiltered decode of @p bytes. */
+Verdict
+fileVerdict(const std::vector<char> &bytes)
+{
+    // One scratch file per test: ctest runs the cases concurrently.
+    const std::string path = tempPath(
+        std::string("parity-")
+        + ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    spit(path, bytes);
+    std::uint64_t records = 0;
+    const auto result = decodeAll(path, &records);
+    return verdictOf(result, records);
+}
+
+/** StreamingTraceDecoder fed @p bytes in @p slice-byte pieces. */
+Verdict
+streamVerdict(const std::vector<char> &bytes, std::size_t slice)
+{
+    StreamingTraceDecoder decoder;
+    const auto *data = reinterpret_cast<const std::uint8_t *>(bytes.data());
+    for (std::size_t at = 0; at < bytes.size(); at += slice) {
+        const auto fed =
+            decoder.feed(data + at, std::min(slice, bytes.size() - at));
+        if (!fed.hasValue())
+            return verdictOf(fed, decoder.recordsDecoded());
+    }
+    const auto finished = decoder.finish();
+    return verdictOf(finished, decoder.recordsDecoded());
+}
+
+/**
+ * Both entry points must reach the same verdict on @p bytes: the file
+ * reader, and the streaming decoder fed whole, in 1-byte slices and
+ * in 7-byte slices.  Returns the shared verdict.
+ */
+Verdict
+expectParity(const std::vector<char> &bytes, const std::string &label)
+{
+    const Verdict file = fileVerdict(bytes);
+    const std::size_t whole = std::max<std::size_t>(bytes.size(), 1);
+    for (const std::size_t slice : {whole, std::size_t{1}, std::size_t{7}}) {
+        EXPECT_EQ(streamVerdict(bytes, slice), file)
+            << label << ": stream fed in " << slice
+            << "-byte slices disagrees with the file reader";
+    }
+    return file;
+}
+
+/** Recompute the header CRC after a deliberate header-field edit. */
+void
+patchHeaderCrc(std::vector<char> &bytes)
+{
+    const std::size_t crc_at = kHeaderFixedBytes
+        + static_cast<unsigned char>(bytes[kHeaderFixedBytes - 1]);
+    const std::uint32_t crc = crc32(bytes.data(), crc_at);
+    for (std::size_t byte = 0; byte < 4; ++byte)
+        bytes[crc_at + byte] = static_cast<char>(crc >> (8 * byte));
+}
+
+/** Offset of the first chunk of a sample trace (its name is "mcf"). */
+constexpr std::size_t kSampleHeaderBytes =
+    kHeaderFixedBytes + 3 + kChunkCrcBytes;
+
+} // namespace
+
+TEST(TraceParity, EveryCorruptionSettlesAlikeOnBothEntryPoints)
+{
+    struct Case
+    {
+        std::string name;
+        std::vector<char> bytes;
+        std::optional<TraceErrorKind> kind; ///< nullopt: any rejection
+        std::optional<std::uint64_t> offset;
+    };
+    const std::vector<char> two = slurp(writeSampleTrace("parity-2", 2, 200));
+    const std::vector<char> long1 =
+        slurp(writeSampleTrace("parity-long", 1, 5000));
+    const auto edited = [&two](std::size_t at, char value) {
+        std::vector<char> bytes = two;
+        bytes[at] = value;
+        return bytes;
+    };
+    const auto cut = [](const std::vector<char> &bytes, std::size_t keep) {
+        return std::vector<char>(
+            bytes.begin(),
+            bytes.begin() + static_cast<std::ptrdiff_t>(keep));
+    };
+
+    std::vector<Case> cases;
+    cases.push_back({"wrong magic", edited(0, 'X'),
+                     TraceErrorKind::BadMagic, 0});
+    cases.push_back({"future version",
+                     edited(8, static_cast<char>(two[8] + 3)),
+                     TraceErrorKind::BadVersion, 8});
+    cases.push_back({"header CRC flip",
+                     edited(16, static_cast<char>(two[16] ^ 0x01)),
+                     TraceErrorKind::BadCrc, 0});
+    cases.push_back({"chunk CRC flip",
+                     edited(two.size() - 20,
+                            static_cast<char>(two[two.size() - 20] ^ 0x80)),
+                     TraceErrorKind::BadCrc, std::nullopt});
+    for (const std::size_t keep :
+         {two.size() - 1, two.size() - 30, two.size() / 2}) {
+        cases.push_back({"truncated to " + std::to_string(keep) + " bytes",
+                         cut(two, keep), std::nullopt, std::nullopt});
+    }
+    const std::uint64_t first_frame = kChunkHeaderBytes
+        + getU32(reinterpret_cast<const std::uint8_t *>(long1.data())
+                 + kSampleHeaderBytes + 8)
+        + kChunkCrcBytes;
+    cases.push_back({"chunk-boundary cut",
+                     cut(long1, kSampleHeaderBytes + first_frame),
+                     TraceErrorKind::CountMismatch,
+                     kSampleHeaderBytes + first_frame});
+    cases.push_back({"cut inside the workload name",
+                     cut(two, kHeaderFixedBytes + 1),
+                     TraceErrorKind::Truncated, kHeaderFixedBytes});
+    cases.push_back({"cut inside the fixed header", cut(two, 4),
+                     TraceErrorKind::Truncated, 0});
+    std::vector<char> garbage = two;
+    for (std::size_t i = 0; i < 4; ++i)
+        garbage[kSampleHeaderBytes + 8 + i] = static_cast<char>(0xFF);
+    cases.push_back({"garbage payload length", garbage,
+                     TraceErrorKind::BadChunk, kSampleHeaderBytes});
+    cases.push_back({"core id beyond the count",
+                     edited(kSampleHeaderBytes, 5),
+                     TraceErrorKind::BadChunk, kSampleHeaderBytes});
+    std::vector<char> many_cores = two;
+    for (std::size_t i = 0; i < 4; ++i)
+        many_cores[12 + i] = static_cast<char>(0xFF);
+    patchHeaderCrc(many_cores);
+    cases.push_back({"core count above the cap", many_cores,
+                     TraceErrorKind::BadHeader, 12});
+
+    for (const Case &c : cases) {
+        const Verdict v = expectParity(c.bytes, c.name);
+        EXPECT_FALSE(v.accepted) << c.name;
+        if (c.kind) {
+            EXPECT_EQ(v.kind, *c.kind)
+                << c.name << ": got " << traceErrorKindName(v.kind);
+        }
+        if (c.offset) {
+            EXPECT_EQ(v.offset, *c.offset) << c.name;
+        }
+    }
+
+    // The pristine images are accepted alike, with every record.
+    EXPECT_EQ(expectParity(two, "pristine 2-core").records, 400u);
+    EXPECT_EQ(expectParity(long1, "pristine 1-core").records, 5000u);
+}
+
+TEST(TraceParity, SeededMutationsSettleAlikeOnBothEntryPoints)
+{
+    const std::vector<char> pristine =
+        slurp(writeSampleTrace("parity-fuzz", 2, 300));
+    const std::vector<std::uint8_t> master(pristine.begin(),
+                                           pristine.end());
+    test::SplitMix64 rng(0x7EACE5ULL);
+    int rejected = 0;
+    for (int round = 0; round < 300; ++round) {
+        std::vector<std::uint8_t> bytes = test::mutate(master, rng);
+        if (rng.below(2) == 0)
+            bytes = test::mutate(std::move(bytes), rng);
+        const Verdict v = expectParity(
+            std::vector<char>(bytes.begin(), bytes.end()),
+            "round " + std::to_string(round));
+        rejected += v.accepted ? 0 : 1;
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    // The loop must actually exercise rejections, not only survivors.
+    EXPECT_GT(rejected, 200);
 }
 
 namespace

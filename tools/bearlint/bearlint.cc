@@ -24,9 +24,9 @@
  *         prove the lock discipline.
  *   BL004 nondeterminism      wall-clock or ambient-randomness seams
  *         (rand, std::random_device, system_clock, gettimeofday, ...)
- *         outside the sanctioned site (common/fault.cc).  Everything
- *         else must draw from the seeded Rng so runs stay bit-for-bit
- *         reproducible; steady_clock (watchdog, timing) is allowed.
+ *         anywhere, with no exempt file.  Everything must draw from
+ *         the seeded Rng so runs stay bit-for-bit reproducible;
+ *         steady_clock (watchdog, timing) is allowed.
  *   BL005 include-hygiene     headers must open with a matching
  *         `#ifndef BEAR_..._HH` / `#define` guard (no #pragma once)
  *         and must not contain `using namespace` at any scope.
@@ -109,8 +109,8 @@ const RuleInfo kRules[] = {
      "std::mutex/condition_variable/lock_guard family outside "
      "common/sync.hh (use bear::Mutex/MutexLock/CondVar)"},
     {"BL004", "nondeterminism",
-     "wall-clock or ambient randomness outside common/fault.cc "
-     "(use the seeded Rng)"},
+     "wall-clock or ambient randomness anywhere (use the seeded "
+     "Rng)"},
     {"BL005", "include-hygiene",
      "header missing a BEAR_*_HH include guard, or `using "
      "namespace` in a header"},
@@ -805,11 +805,9 @@ checkNakedMutex(const FileData &fd, Reporter &out)
 void
 checkNondeterminism(const FileData &fd, Reporter &out)
 {
-    // The fault injector is the one sanctioned seam.  steady_clock is
-    // not banned: the watchdog and the timing harnesses measure with
-    // it, and no simulated value depends on it.
-    if (endsWith(fd.display, "src/common/fault.cc"))
-        return;
+    // No file is exempt.  steady_clock is not banned: the watchdog
+    // and the timing harnesses measure with it, and no simulated
+    // value depends on it.
     static const std::set<std::string> kBannedTypes = {
         "random_device", "system_clock", "high_resolution_clock"};
     static const std::set<std::string> kBannedCalls = {
@@ -826,8 +824,7 @@ checkNondeterminism(const FileData &fd, Reporter &out)
             if (prev == "::") {
                 out.report(fd, t[i].line, "BL004",
                            "nondeterministic '" + t[i].text
-                               + "' outside the fault-injection seam; "
-                                 "derive from the seeded Rng");
+                               + "'; derive from the seeded Rng");
             }
             continue;
         }
@@ -842,8 +839,7 @@ checkNondeterminism(const FileData &fd, Reporter &out)
                 continue;
             out.report(fd, t[i].line, "BL004",
                        "wall-clock / ambient randomness '" + t[i].text
-                           + "()' outside the fault-injection seam; "
-                             "derive from the seeded Rng");
+                           + "()'; derive from the seeded Rng");
         }
     }
 }

@@ -14,10 +14,12 @@
  * diagnostics the replay path would raise.
  *
  * The self-test writes a small trace to a temporary file, dumps it,
- * and then verifies the three corruption contracts on mutated copies
+ * and then verifies the corruption contracts on mutated copies
  * (flipped payload byte → bad-crc, truncated tail → truncated, bumped
- * version byte → bad-version), so CI proves corrupted traces are
- * rejected loudly without a single real workload file.
+ * version byte → bad-version, core count above the format cap →
+ * bad-header at open, before any per-core table is sized from it), so
+ * CI proves corrupted traces are rejected loudly without a single
+ * real workload file.
  */
 
 #include <cstdio>
@@ -125,6 +127,21 @@ spit(const std::string &path, const std::vector<char> &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/** Recompute the header CRC after a deliberate header-field edit. */
+void
+patchHeaderCrc(std::vector<char> &bytes)
+{
+    const std::size_t name_len = static_cast<unsigned char>(
+        bytes[bear::trace::kHeaderFixedBytes - 1]);
+    const std::size_t crc_at =
+        bear::trace::kHeaderFixedBytes + name_len;
+    const std::uint32_t patched =
+        bear::trace::crc32(bytes.data(), crc_at);
+    for (int byte = 0; byte < 4; ++byte)
+        bytes[crc_at + static_cast<std::size_t>(byte)] =
+            static_cast<char>(patched >> (8 * byte));
+}
+
 /** Expect open+full decode of @p path to fail with @p kind. */
 bool
 expectRejected(const std::string &path, bear::trace::TraceErrorKind kind,
@@ -229,19 +246,24 @@ selftest()
     // patch the header checksum to isolate the version check).
     std::vector<char> versioned = pristine;
     versioned[8] = static_cast<char>(versioned[8] + 1);
-    const std::size_t name_len = static_cast<unsigned char>(
-        versioned[bear::trace::kHeaderFixedBytes - 1]);
-    const std::size_t crc_at =
-        bear::trace::kHeaderFixedBytes + name_len;
-    const std::uint32_t patched = bear::trace::crc32(
-        versioned.data(), crc_at);
-    for (int byte = 0; byte < 4; ++byte)
-        versioned[crc_at + static_cast<std::size_t>(byte)] =
-            static_cast<char>(patched >> (8 * byte));
+    patchHeaderCrc(versioned);
     spit(mutated, versioned);
     ok = expectRejected(mutated,
                         bear::trace::TraceErrorKind::BadVersion,
                         "future format version")
+        && ok;
+
+    // A 0xFFFFFFFF core count with a valid CRC: open() must refuse it
+    // before dump() sizes its per-core table from it.
+    std::vector<char> manyCores = pristine;
+    for (int byte = 0; byte < 4; ++byte)
+        manyCores[12 + static_cast<std::size_t>(byte)] =
+            static_cast<char>(0xFF);
+    patchHeaderCrc(manyCores);
+    spit(mutated, manyCores);
+    ok = expectRejected(mutated,
+                        bear::trace::TraceErrorKind::BadHeader,
+                        "core count above the format cap")
         && ok;
 
     if (ok) {
