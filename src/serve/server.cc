@@ -20,6 +20,7 @@
 #include "serve/serve_error.hh"
 #include "sim/report.hh"
 #include "sim/single_run.hh"
+#include "trace/trace_reader.hh"
 #include "trace/trace_stream_decoder.hh"
 
 namespace bear::serve
@@ -604,14 +605,10 @@ Server::connectionLoop(int fd)
         job.coreRecords = decoder.takeCoreRecords();
         job.tenantId = entry.tenantId;
         job.enqueuedAt = wallSeconds();
-        for (std::uint32_t c = 0; c < meta.coreCount; ++c) {
-            if (job.coreRecords[c].empty()) {
-                bail(ServeError{
-                    ServeErrorKind::BadTrace,
-                    "trace holds no records for core "
-                        + std::to_string(c)});
-                return;
-            }
+        auto every = trace::checkEveryCoreHasRecords(job.coreRecords);
+        if (!every.hasValue()) {
+            bail(fromTraceError(every.error()));
+            return;
         }
 
         {
@@ -902,15 +899,8 @@ Server::runSession(SessionJob &job)
     ContainmentScope contain;
     try {
         SingleRunSpec spec;
-        spec.config.design = job.design;
+        spec.config = options_.run.systemConfig(job.design);
         spec.config.cores = job.meta.coreCount;
-        spec.config.scale = options_.run.scale;
-        spec.config.cacheCapacityBytes =
-            options_.run.cacheCapacityBytes;
-        spec.config.bandwidthRatio = options_.run.bandwidthRatio;
-        spec.config.totalBanks = options_.run.totalBanks;
-        spec.config.seed = options_.run.seed;
-        spec.config.traceCapacity = options_.run.traceCapacity;
         spec.config.control = &job.control;
         spec.warmupRefsPerCore = options_.run.warmupRefsPerCore;
         spec.measureRefsPerCore = options_.run.measureRefsPerCore;

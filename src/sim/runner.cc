@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <new>
@@ -17,6 +15,7 @@
 #include "common/log.hh"
 #include "sim/single_run.hh"
 #include "trace/trace_reader.hh"
+#include "trace/trace_stream_decoder.hh"
 #include "trace/trace_writer.hh"
 
 namespace bear
@@ -35,66 +34,6 @@ constexpr std::uint64_t kMaxRefsPerCore = 1ULL << 40;
 constexpr std::uint64_t kMaxWorkers = 4096;
 constexpr std::uint64_t kMaxEventTraceCapacity = 1ULL << 24;
 constexpr double kMaxJobTimeoutSeconds = 86400.0;
-
-/**
- * Strict full-string parsers: the whole value must be consumed, so
- * "12x" or "" is an error, not a truncated-but-accepted number.
- * std::optional-of-nothing would lose the reason; return it directly.
- */
-const char *
-parseU64(const char *text, std::uint64_t &out)
-{
-    if (*text == '\0')
-        return "empty value";
-    if (*text == '-')
-        return "negative value";
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        return "not an unsigned integer";
-    if (errno == ERANGE)
-        return "out of range";
-    out = v;
-    return nullptr;
-}
-
-const char *
-parseDouble(const char *text, double &out)
-{
-    if (*text == '\0')
-        return "empty value";
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        return "not a number";
-    if (errno == ERANGE || !std::isfinite(v))
-        return "out of range";
-    out = v;
-    return nullptr;
-}
-
-/**
- * A double override whose domain is not a closed range: @p check
- * returns why a parsed value is rejected, or nullptr to accept it.
- */
-Expected<bool, EnvError>
-envDoubleChecked(const char *name, double &out,
-                 const char *check(double))
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    double parsed = 0.0;
-    const char *why = parseDouble(text, parsed);
-    if (!why)
-        why = check(parsed);
-    if (why)
-        return unexpected(EnvError{name, text, why});
-    out = parsed;
-    return true;
-}
 
 /**
  * Carries a failed IPC_alone reference run out of a mix job's
@@ -146,65 +85,6 @@ class ClaimGuard
 };
 
 } // namespace
-
-std::string
-EnvError::message() const
-{
-    return variable + "=\"" + value + "\": " + reason;
-}
-
-Expected<bool, EnvError>
-envU64InRange(const char *name, std::uint64_t &out, std::uint64_t lo,
-              std::uint64_t hi)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    std::uint64_t parsed = 0;
-    const char *why = parseU64(text, parsed);
-    if (!why && (parsed < lo || parsed > hi))
-        why = "out of range";
-    if (why) {
-        return unexpected(EnvError{
-            name, text,
-            detail::format(why, " (accepted range ", lo, "..", hi,
-                           ")")});
-    }
-    out = parsed;
-    return true;
-}
-
-Expected<bool, EnvError>
-envSecondsInRange(const char *name, double &out, double lo, double hi)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    double parsed = 0.0;
-    const char *why = parseDouble(text, parsed);
-    if (!why && (parsed < lo || parsed > hi))
-        why = "out of range";
-    if (why) {
-        return unexpected(EnvError{
-            name, text,
-            detail::format(why, " (accepted range ", lo, "..", hi,
-                           " seconds)")});
-    }
-    out = parsed;
-    return true;
-}
-
-Expected<bool, EnvError>
-envNonEmptyString(const char *name, std::string &out)
-{
-    const char *text = std::getenv(name);
-    if (!text)
-        return false;
-    if (*text == '\0')
-        return unexpected(EnvError{name, text, "empty value"});
-    out = text;
-    return true;
-}
 
 const char *
 jobPhaseName(JobPhase phase)
@@ -370,21 +250,32 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
     bear_assert(options.cores > 0, "need cores");
     bear_assert(options.retries >= 1, "need at least one attempt");
 
-    // Preflight the replay corpus before any simulation (and before
-    // the watchdog thread exists, so a config error dies with a clean
+    // Load the replay corpus before any simulation (and before the
+    // watchdog thread exists, so a config error dies with a clean
     // single-threaded exit): a missing or corrupt BEAR_TRACE_IN must
-    // never cost a warm-up first.
+    // never cost a warm-up first.  This is the only read of the file;
+    // every job replays from the records decoded here.
     if (!options_.traceInPath.empty()) {
-        auto probe =
-            trace::TraceReplayStream::open(options_.traceInPath, 0);
-        if (!probe.hasValue()) {
-            bear_fatal("BEAR_TRACE_IN=", options_.traceInPath, ": ",
-                       probe.error().message());
+        auto loaded = trace::loadTrace(options_.traceInPath);
+        if (loaded.hasValue()) {
+            auto every =
+                trace::checkEveryCoreHasRecords(loaded->coreRecords);
+            if (!every.hasValue())
+                loaded = unexpected(every.error());
         }
-        if ((*probe)->meta().coreCount != options_.cores) {
+        if (!loaded.hasValue()) {
+            bear_fatal("BEAR_TRACE_IN=", options_.traceInPath, ": ",
+                       loaded.error().message());
+        }
+        if (loaded->meta.coreCount != options_.cores) {
             bear_fatal("BEAR_TRACE_IN=", options_.traceInPath,
-                       ": recorded with ", (*probe)->meta().coreCount,
+                       ": recorded with ", loaded->meta.coreCount,
                        " cores, this run wants ", options_.cores);
+        }
+        for (auto &records : loaded->coreRecords) {
+            replay_corpus_.push_back(
+                std::make_shared<const std::vector<MemRef>>(
+                    std::move(records)));
         }
     }
 
@@ -422,21 +313,30 @@ Runner::Runner(const RunnerOptions &options) : options_(options)
 }
 
 SystemConfig
-Runner::systemConfig(const RunJob &job) const
+RunnerOptions::systemConfig(DesignKind design) const
 {
     SystemConfig config;
-    config.design = job.design;
-    config.cores = options_.cores;
-    config.scale = options_.scale;
-    config.cacheCapacityBytes = job.cacheCapacityBytes
-        ? job.cacheCapacityBytes
-        : options_.cacheCapacityBytes;
-    config.bandwidthRatio =
-        job.bandwidthRatio ? job.bandwidthRatio : options_.bandwidthRatio;
-    config.totalBanks = job.totalBanks ? job.totalBanks
-                                       : options_.totalBanks;
-    config.seed = options_.seed;
-    config.traceCapacity = options_.traceCapacity;
+    config.design = design;
+    config.cores = cores;
+    config.scale = scale;
+    config.cacheCapacityBytes = cacheCapacityBytes;
+    config.bandwidthRatio = bandwidthRatio;
+    config.totalBanks = totalBanks;
+    config.seed = seed;
+    config.traceCapacity = traceCapacity;
+    return config;
+}
+
+SystemConfig
+Runner::systemConfig(const RunJob &job) const
+{
+    SystemConfig config = options_.systemConfig(job.design);
+    if (job.cacheCapacityBytes)
+        config.cacheCapacityBytes = job.cacheCapacityBytes;
+    if (job.bandwidthRatio)
+        config.bandwidthRatio = job.bandwidthRatio;
+    if (job.totalBanks)
+        config.totalBanks = job.totalBanks;
     return config;
 }
 
@@ -465,23 +365,12 @@ Runner::execute(const RunJob &job, JobControl &control, JobPhase &phase)
     checkJobFaultSite("job.setup", key, control);
 
     std::vector<std::unique_ptr<RefStream>> streams;
-    if (!options_.traceInPath.empty()) {
-        // Replay mode: every core's stream comes from the recorded
-        // corpus; the job only chooses the design and the label.
-        for (std::uint32_t c = 0; c < options_.cores; ++c) {
-            auto stream = trace::TraceReplayStream::open(
-                options_.traceInPath, c);
-            if (!stream.hasValue()) {
-                bear_fatal("BEAR_TRACE_IN=", options_.traceInPath,
-                           ": ", stream.error().message());
-            }
-            if ((*stream)->meta().coreCount != options_.cores) {
-                bear_fatal("BEAR_TRACE_IN=", options_.traceInPath,
-                           ": recorded with ",
-                           (*stream)->meta().coreCount,
-                           " cores, this run wants ", options_.cores);
-            }
-            streams.push_back(std::move(stream.value()));
+    if (!replay_corpus_.empty()) {
+        // Replay mode: every core's stream reads the corpus loaded by
+        // the constructor; the job only chooses the design and label.
+        for (const auto &records : replay_corpus_) {
+            streams.push_back(
+                std::make_unique<trace::VectorReplayStream>(records));
         }
     } else if (job.mix) {
         for (std::uint32_t c = 0; c < options_.cores; ++c) {
@@ -745,14 +634,9 @@ Runner::ipcAloneContained(const std::string &benchmark,
 
         // Single active core on the baseline Alloy system: the
         // benchmark has every resource to itself.
-        SystemConfig config;
-        config.design = DesignKind::Alloy;
+        SystemConfig config = options_.systemConfig(DesignKind::Alloy);
         config.cores = 1;
-        config.scale = options_.scale;
-        config.cacheCapacityBytes = options_.cacheCapacityBytes;
-        config.bandwidthRatio = options_.bandwidthRatio;
-        config.totalBanks = options_.totalBanks;
-        config.seed = options_.seed;
+        config.traceCapacity = 0; // no event trace for the reference
         config.control = control;
 
         std::vector<std::unique_ptr<RefStream>> streams;

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/expected.hh"
 #include "common/fault.hh"
 #include "common/sync.hh"
@@ -47,40 +48,6 @@
 
 namespace bear
 {
-
-/**
- * A malformed environment override: which variable, what it held, and
- * why it was rejected.
- */
-struct EnvError
-{
-    std::string variable;
-    std::string value;
-    std::string reason;
-
-    /** `BEAR_SCALE="abc": not a number` — ready to print. */
-    std::string message() const;
-};
-
-/**
- * Strict environment-override helpers (the BEAR_* parsing
- * discipline): an unset variable leaves @p out untouched and returns
- * false; a set-but-malformed or out-of-range value is an EnvError
- * naming the variable, the rejected text, and the accepted range —
- * never a silent fallback to the default or a silent truncation.
- * RunnerOptions::tryFromEnv is built on these, and the serve layer
- * reuses them for its BEAR_SERVE_* knobs.
- */
-[[nodiscard]] Expected<bool, EnvError>
-envU64InRange(const char *name, std::uint64_t &out, std::uint64_t lo,
-              std::uint64_t hi);
-
-[[nodiscard]] Expected<bool, EnvError>
-envSecondsInRange(const char *name, double &out, double lo, double hi);
-
-/** String override; set-but-empty is a config error, not "unset". */
-[[nodiscard]] Expected<bool, EnvError>
-envNonEmptyString(const char *name, std::string &out);
 
 /** Knobs shared by every run of a bench binary. */
 struct RunnerOptions
@@ -99,7 +66,8 @@ struct RunnerOptions
     /**
      * Replay workload: path of a .beartrace file (src/trace) that
      * supplies every core's reference stream instead of the synthetic
-     * generators.  Empty = generate live.  IPC_alone reference runs
+     * generators; the Runner reads it once, in its constructor.
+     * Empty = generate live.  IPC_alone reference runs
      * for mixes still use the generators (they need a 1-core stream).
      */
     std::string traceInPath;
@@ -168,6 +136,14 @@ struct RunnerOptions
      * different timeout is allowed.
      */
     std::uint64_t fingerprint() const;
+
+    /**
+     * The system these options describe for @p design: cores, scale,
+     * geometry, seed and event-trace capacity.  Runner jobs, IPC_alone
+     * reference runs and served sessions all start here and override
+     * only what differs for them.
+     */
+    SystemConfig systemConfig(DesignKind design) const;
 };
 
 /** A run request: design x workload (rate benchmark or mix). */
@@ -185,7 +161,7 @@ struct RunJob
 /** Where in its lifecycle a job failed (DESIGN.md §11). */
 enum class JobPhase : std::uint8_t
 {
-    Setup,   ///< stream construction, replay open, recording claim
+    Setup,   ///< stream construction, recording claim
     Warmup,  ///< the warm-up run
     Measure, ///< the measurement run and stats gathering
     IpcAlone ///< a single-core IPC_alone reference run
@@ -231,10 +207,11 @@ class Runner
 {
   public:
     /**
-     * Validates the replay corpus (BEAR_TRACE_IN) up front — a
-     * missing or corrupt trace is a fatal config error *before* any
-     * simulation runs — then opens the journal, arms the fault plan,
-     * and starts the watchdog.
+     * Loads and validates the replay corpus (BEAR_TRACE_IN) up front —
+     * a missing, corrupt or idle-core trace is a fatal config error
+     * *before* any simulation runs, and the file is never read again —
+     * then opens the journal, arms the fault plan, and starts the
+     * watchdog.
      */
     explicit Runner(const RunnerOptions &options);
 
@@ -292,6 +269,15 @@ class Runner
     std::string keyOf(const RunJob &job) const;
 
     RunnerOptions options_;
+
+    /**
+     * BEAR_TRACE_IN's records, one vector per core, decoded once by
+     * the constructor and read-only afterwards: every job's (and every
+     * worker's) replay streams share them.  Empty without a corpus.
+     */
+    std::vector<std::shared_ptr<const std::vector<MemRef>>>
+        replay_corpus_;
+
     /** Set once the recording run has claimed traceOutPath. */
     std::atomic<bool> trace_out_claimed_{false};
 

@@ -1,22 +1,21 @@
 /**
  * @file
- * On-disk binary trace format shared by TraceWriter and TraceReader
- * (see DESIGN.md §10 for the full specification).
+ * On-disk binary trace format shared by TraceWriter and
+ * StreamingTraceDecoder (see DESIGN.md §10 for the full
+ * specification).
  *
  * A .beartrace file is a versioned header followed by a sequence of
  * self-contained chunks.  Each chunk carries the references of exactly
  * one core, delta-encoded against the previous record *of that chunk*
  * (LEB128 varints, zigzag for the signed address/PC deltas, packed
  * flag bits), and is sealed with a CRC32 footer.  Self-contained
- * chunks buy two properties cheaply: a replay stream can skip foreign
- * cores' chunks without decoding them, and a single corrupted chunk is
- * reported by index and byte offset instead of desynchronising the
- * rest of the file.
+ * chunks localise corruption: a bad chunk is reported by index and
+ * byte offset instead of desynchronising the rest of the file.
  *
  * Every decision about the on-disk layout lives here: the encoder and
  * the one validating parser (parseHeader, parseChunkFrame,
- * decodeChunk).  TraceReader and StreamingTraceDecoder are I/O shells
- * around it that only attach offsets and chunk indices to errors.
+ * decodeChunk).  StreamingTraceDecoder is the one shell around it; it
+ * only buffers bytes and attaches offsets and chunk indices to errors.
  *
  * Everything here is dependency-free and byte-order explicit
  * (little-endian on disk regardless of host), so traces recorded on
@@ -207,8 +206,9 @@ struct ChunkFrame
 /**
  * Validate the frame header at @p head against @p meta: core below
  * the core count, 1..kMaxChunkRecords records, 1..kMaxChunkPayloadBytes
- * of payload.  Reads only kChunkHeaderBytes, so a filtered reader can
- * skip foreign chunks unread.  Errors from this and decodeChunk()
+ * of payload.  Reads only kChunkHeaderBytes, so a streaming decoder
+ * learns the frame's size (or rejects it) before the payload arrives.
+ * Errors from this and decodeChunk()
  * carry no offset or chunk index; the caller attaches them.
  */
 [[nodiscard]] Expected<ChunkFrame, TraceError>

@@ -1,6 +1,6 @@
 #include "trace/trace_stream_decoder.hh"
 
-#include "common/log.hh"
+#include <string>
 
 namespace bear::trace
 {
@@ -91,21 +91,18 @@ StreamingTraceDecoder::finish()
     return true;
 }
 
-VectorReplayStream::VectorReplayStream(std::vector<MemRef> records)
-    : records_(std::move(records))
+Expected<bool, TraceError>
+checkEveryCoreHasRecords(const std::vector<std::vector<MemRef>> &coreRecords)
 {
-    bear_assert(!records_.empty(),
-                "VectorReplayStream needs at least one record");
-}
-
-MemRef
-VectorReplayStream::next()
-{
-    if (position_ == records_.size()) {
-        position_ = 0;
-        ++wrap_count_;
+    for (std::size_t core = 0; core < coreRecords.size(); ++core) {
+        if (coreRecords[core].empty()) {
+            return unexpected(TraceError{
+                TraceErrorKind::CountMismatch,
+                "trace holds no records for core " + std::to_string(core),
+                0, -1});
+        }
     }
-    return records_[position_++];
+    return true;
 }
 
 } // namespace bear::trace

@@ -1,29 +1,23 @@
 /**
  * @file
- * Incremental .beartrace decoding for byte streams (sockets).
+ * Incremental .beartrace decoding: the one path from trace bytes to
+ * per-core records.
  *
- * TraceReader assumes a seekable file; the serving layer (src/serve)
- * receives the same format as arbitrarily sliced socket payloads.
- * StreamingTraceDecoder is the incremental counterpart: feed() it any
- * prefix of a .beartrace byte stream and it validates and decodes
- * exactly as much as has arrived — header first, then chunk frames —
- * accumulating records per core.  finish() runs the end-of-stream
- * checks (nothing buffered mid-structure, decoded records match the
- * header's record count).
+ * feed() StreamingTraceDecoder any prefix of a .beartrace byte stream
+ * and it validates and decodes exactly as much as has arrived —
+ * header first, then chunk frames — accumulating records per core.
+ * finish() runs the end-of-stream checks (nothing buffered
+ * mid-structure, decoded records match the header's record count).
+ * Socket uploads (src/serve) feed it however the bytes arrive;
+ * loadTrace (trace_reader.hh) feeds it a file in fixed slices.
  *
- * The checks are trace_format's one parser, shared with TraceReader
- * (the core count is capped before per-core vectors exist, chunk
- * lengths are bounded before any allocation).  This class only
- * buffers bytes and stamps errors with the failing chunk's stream
- * offset and index, so a corrupt upload gets the same kind, offset,
- * chunk and wording as the same bytes on disk, however they were
- * sliced.  Bytes are consumed by a read offset and the buffer is
- * compacted once per feed(), so one large feed costs linear time.
- *
- * VectorReplayStream adapts one core's decoded records into the
- * RefStream interface with the same wrap-around semantics as
- * TraceReplayStream, so a streamed trace feeds System identically to
- * a replayed file (the serve byte-identity tests pin this).
+ * The checks are trace_format's one parser (the core count is capped
+ * before per-core vectors exist, chunk lengths are bounded before any
+ * allocation).  This class only buffers bytes and stamps errors with
+ * the failing chunk's stream offset and index, so the same bytes get
+ * the same kind, offset, chunk and wording however they were sliced.
+ * Bytes are consumed by a read offset and the buffer is compacted once
+ * per feed(), so one large feed costs linear time.
  */
 
 #ifndef BEAR_TRACE_TRACE_STREAM_DECODER_HH
@@ -70,6 +64,7 @@ class StreamingTraceDecoder
     }
 
     std::uint64_t recordsDecoded() const { return records_seen_; }
+    std::uint64_t chunksDecoded() const { return chunk_index_; }
 
   private:
     enum class State : std::uint8_t
@@ -102,27 +97,12 @@ class StreamingTraceDecoder
 };
 
 /**
- * RefStream over one core's decoded records, wrapping around at the
- * end exactly like TraceReplayStream (a short trace still feeds an
- * arbitrarily long run).  The records are owned by value: sessions
- * outlive the decoder that produced them.
+ * Replay needs a stream for every core: fails with CountMismatch
+ * (`trace holds no records for core N`) naming the first core of
+ * @p coreRecords that holds no records.
  */
-class VectorReplayStream : public RefStream
-{
-  public:
-    /** @p records must be non-empty (panics otherwise). */
-    explicit VectorReplayStream(std::vector<MemRef> records);
-
-    MemRef next() override;
-
-    /** Times the stream wrapped back to the first record. */
-    std::uint64_t wrapCount() const { return wrap_count_; }
-
-  private:
-    std::vector<MemRef> records_;
-    std::size_t position_ = 0;
-    std::uint64_t wrap_count_ = 0;
-};
+[[nodiscard]] Expected<bool, TraceError> checkEveryCoreHasRecords(
+    const std::vector<std::vector<MemRef>> &coreRecords);
 
 } // namespace bear::trace
 

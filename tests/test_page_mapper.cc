@@ -13,7 +13,7 @@
 #include "sim/report.hh"
 #include "sim/system.hh"
 #include "tests/reference_page_mapper.hh"
-#include "trace/trace_stream_decoder.hh"
+#include "trace/trace_reader.hh"
 #include "vm/page_mapper.hh"
 
 using namespace bear;

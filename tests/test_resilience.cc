@@ -300,9 +300,9 @@ TEST(Retry, TransientTraceIoFailureRetriesAndSucceeds)
 
     // The retry re-recorded from scratch: the corpus is complete and
     // readable, not the poisoned first attempt.
-    auto reader = trace::TraceReader::open(path);
-    ASSERT_TRUE(reader.hasValue());
-    EXPECT_EQ(reader.value().meta().workload, "wrf");
+    auto loaded = trace::loadTrace(path);
+    ASSERT_TRUE(loaded.hasValue());
+    EXPECT_EQ(loaded->meta.workload, "wrf");
     std::remove(path.c_str());
 }
 

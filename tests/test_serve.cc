@@ -342,6 +342,45 @@ TEST(ServeLoopback, ReportByteIdenticalToOfflineRunner)
     std::remove(trace_path.c_str());
 }
 
+TEST(ServeLoopback, IdleCoreUploadIsRefusedAsBadTrace)
+{
+    const std::string trace_path =
+        uniquePath("serve-idle-core", ".beartrace");
+    const std::string socket_path =
+        uniquePath("serve-idle-core", ".sock");
+    {
+        trace::TraceMeta meta;
+        meta.workload = "selftest";
+        meta.coreCount = 2;
+        auto writer = trace::TraceWriter::create(trace_path, meta);
+        ASSERT_TRUE(writer.hasValue());
+        for (std::uint32_t i = 0; i < 64; ++i) {
+            MemRef ref;
+            ref.vaddr = 0x10000 + 64ULL * i;
+            ASSERT_TRUE(writer->append(0, ref).hasValue());
+        }
+        ASSERT_TRUE(writer->finish().hasValue());
+    }
+
+    Server server(loopbackOptions(socket_path, 1, 1));
+    ASSERT_TRUE(server.start().hasValue());
+    ClientOptions copts;
+    copts.socketPath = socket_path;
+    copts.design = "BEAR";
+    auto outcome = Client::runSession(copts, slurpBytes(trace_path));
+    ASSERT_FALSE(outcome.hasValue());
+    EXPECT_EQ(outcome.error().kind, ServeErrorKind::BadTrace)
+        << outcome.error().message();
+    EXPECT_NE(outcome.error().message().find(
+                  "trace holds no records for core 1"),
+              std::string::npos)
+        << outcome.error().message();
+
+    server.requestDrain(CancelReason::None);
+    EXPECT_EQ(server.serve(), 0);
+    std::remove(trace_path.c_str());
+}
+
 TEST(ServeLoopback, SixtyFourTenantsWithBackpressure)
 {
     const std::string trace_path =

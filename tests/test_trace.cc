@@ -2,17 +2,19 @@
  * @file
  * Unit tests for the binary trace subsystem (src/trace): encoding
  * round-trips, the RecordingStream tee, per-core replay, corruption
- * rejection, entry-point parity (the file reader and the streaming
- * decoder settle every corrupt input identically, however it is
- * sliced), and the headline guarantee — a recorded workload replayed
- * through TraceReplayStream produces a byte-identical schema-v2 JSON
- * report to the live-generator run.
+ * rejection, entry-point parity (loadTrace on a file and the streaming
+ * decoder on sliced bytes settle every corrupt input identically), the
+ * once-per-Runner corpus load, and the headline guarantee — a recorded
+ * workload replayed through VectorReplayStream produces a
+ * byte-identical schema-v2 JSON report to the live-generator run.
  */
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -80,26 +82,49 @@ writeSampleTrace(const std::string &name, std::uint32_t cores,
     return path;
 }
 
-/** Fully decode @p path; returns the terminal Expected result. */
+/** A 2-core trace whose core 1 recorded nothing. */
+std::string
+writeIdleCoreTrace(const std::string &name)
+{
+    const std::string path = tempPath(name);
+    TraceMeta meta;
+    meta.workload = "mcf";
+    meta.seed = 0x5EED;
+    meta.coreCount = 2;
+    auto created = TraceWriter::create(path, meta);
+    EXPECT_TRUE(created.hasValue());
+    TraceWriter writer = std::move(created.value());
+    WorkloadStream stream(profileByName("mcf"), 0x5EED + 0x1000,
+                          0.015625);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_TRUE(writer.append(0, stream.next()).hasValue());
+    EXPECT_TRUE(writer.finish().hasValue());
+    return path;
+}
+
+/** Records of every core of @p trace. */
+std::uint64_t
+totalRecords(const LoadedTrace &trace)
+{
+    std::uint64_t n = 0;
+    for (const auto &records : trace.coreRecords)
+        n += records.size();
+    return n;
+}
+
+/**
+ * Load @p path; returns the verdict and, in @p records, the records
+ * it handed out (none when it failed).
+ */
 Expected<bool, TraceError>
 decodeAll(const std::string &path, std::uint64_t *records = nullptr)
 {
-    auto opened = TraceReader::open(path);
-    if (!opened.hasValue())
-        return unexpected(opened.error());
-    TraceReader reader = std::move(opened.value());
-    std::uint64_t n = 0;
-    for (;;) {
-        MemRef ref;
-        CoreId core = 0;
-        auto r = reader.next(&ref, &core);
-        if (!r.hasValue() || !*r) {
-            if (records)
-                *records = n;
-            return r;
-        }
-        ++n;
-    }
+    auto loaded = loadTrace(path);
+    if (records)
+        *records = loaded.hasValue() ? totalRecords(*loaded) : 0;
+    if (!loaded.hasValue())
+        return unexpected(loaded.error());
+    return true;
 }
 
 } // namespace
@@ -173,28 +198,22 @@ TEST(TraceWriterReader, RoundTripsExtremeRecords)
     ASSERT_TRUE(finished.hasValue());
     EXPECT_EQ(*finished, refs.size());
 
-    auto opened = TraceReader::open(path);
-    ASSERT_TRUE(opened.hasValue());
-    TraceReader reader = std::move(opened.value());
-    EXPECT_EQ(reader.meta().workload, "extremes");
-    EXPECT_EQ(reader.meta().recordCount, refs.size());
-    for (const MemRef &expected : refs) {
-        MemRef got;
-        CoreId core = 1;
-        auto r = reader.next(&got, &core);
-        ASSERT_TRUE(r.hasValue() && *r);
-        EXPECT_EQ(core, 0u);
+    auto loaded = loadTrace(path); // clean end, count check passed
+    ASSERT_TRUE(loaded.hasValue()) << loaded.error().message();
+    EXPECT_EQ(loaded->meta.workload, "extremes");
+    EXPECT_EQ(loaded->meta.recordCount, refs.size());
+    ASSERT_EQ(loaded->coreRecords.size(), 1u); // every record: core 0
+    const std::vector<MemRef> &decoded = loaded->coreRecords[0];
+    ASSERT_EQ(decoded.size(), refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const MemRef &expected = refs[i];
+        const MemRef &got = decoded[i];
         EXPECT_EQ(got.vaddr, expected.vaddr);
         EXPECT_EQ(got.pc, expected.pc);
         EXPECT_EQ(got.instGap, expected.instGap);
         EXPECT_EQ(got.isWrite, expected.isWrite);
         EXPECT_EQ(got.dependent, expected.dependent);
     }
-    MemRef got;
-    CoreId core = 0;
-    auto r = reader.next(&got, &core);
-    ASSERT_TRUE(r.hasValue());
-    EXPECT_FALSE(*r); // clean end, count check passed
 }
 
 TEST(TraceWriterReader, GeneratorStreamsRoundTripExactly)
@@ -204,21 +223,20 @@ TEST(TraceWriterReader, GeneratorStreamsRoundTripExactly)
     const std::string path =
         writeSampleTrace("generators", 2, refs_per_core);
 
-    auto opened = TraceReader::open(path);
-    ASSERT_TRUE(opened.hasValue());
-    TraceReader reader = std::move(opened.value());
-    EXPECT_EQ(reader.meta().recordCount, 2 * refs_per_core);
+    auto loaded = loadTrace(path);
+    ASSERT_TRUE(loaded.hasValue());
+    EXPECT_EQ(loaded->meta.recordCount, 2 * refs_per_core);
 
     // Replaying each core must reproduce the generator bit-exactly.
     for (CoreId c = 0; c < 2; ++c) {
-        auto stream = TraceReplayStream::open(path, c);
-        ASSERT_TRUE(stream.hasValue());
-        EXPECT_EQ((*stream)->coreRecords(), refs_per_core);
+        EXPECT_EQ(loaded->coreRecords[c].size(), refs_per_core);
+        auto stream = std::make_unique<VectorReplayStream>(
+            loaded->coreRecords[c]);
         WorkloadStream fresh(profileByName("mcf"),
                              0x5EED + 0x1000 * (c + 1), 0.015625);
         for (std::uint64_t i = 0; i < refs_per_core; ++i) {
             const MemRef expected = fresh.next();
-            const MemRef got = (*stream)->next();
+            const MemRef got = stream->next();
             ASSERT_EQ(got.vaddr, expected.vaddr)
                 << "core " << c << " record " << i;
             ASSERT_EQ(got.pc, expected.pc);
@@ -226,7 +244,7 @@ TEST(TraceWriterReader, GeneratorStreamsRoundTripExactly)
             ASSERT_EQ(got.isWrite, expected.isWrite);
             ASSERT_EQ(got.dependent, expected.dependent);
         }
-        EXPECT_EQ((*stream)->wrapCount(), 0u);
+        EXPECT_EQ(stream->wrapCount(), 0u);
     }
 }
 
@@ -267,10 +285,11 @@ TEST(TraceWriterReader, RecordingStreamTeesWithoutPerturbing)
     }
     ASSERT_TRUE(writer.finish().hasValue());
 
-    auto stream = TraceReplayStream::open(path, 0);
-    ASSERT_TRUE(stream.hasValue());
+    auto loaded = loadTrace(path);
+    ASSERT_TRUE(loaded.hasValue());
+    VectorReplayStream stream(std::move(loaded->coreRecords[0]));
     for (const MemRef &expected : seen) {
-        const MemRef got = (*stream)->next();
+        const MemRef got = stream.next();
         EXPECT_EQ(got.vaddr, expected.vaddr);
         EXPECT_EQ(got.instGap, expected.instGap);
     }
@@ -304,23 +323,25 @@ TEST(TraceReplay, OutOfRangeCoreIsRejected)
 
 TEST(TraceCorruption, MissingFileIsIoError)
 {
-    auto opened = TraceReader::open(tempPath("does-not-exist"));
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::Io);
+    const std::string path = tempPath("does-not-exist");
+    auto loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::Io);
+    EXPECT_EQ(loaded.error().detail, "cannot open " + path);
 }
 
 TEST(TraceCorruption, EmptyAndTinyFilesAreTruncated)
 {
     const std::string path = tempPath("tiny");
     spit(path, {});
-    auto opened = TraceReader::open(path);
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::Truncated);
+    auto loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::Truncated);
 
     spit(path, {'B', 'E', 'A', 'R'});
-    opened = TraceReader::open(path);
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::Truncated);
+    loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::Truncated);
 }
 
 TEST(TraceCorruption, WrongMagicIsRejected)
@@ -330,9 +351,9 @@ TEST(TraceCorruption, WrongMagicIsRejected)
     bytes[0] = 'X';
     const std::string path = tempPath("magic-bad");
     spit(path, bytes);
-    auto opened = TraceReader::open(path);
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::BadMagic);
+    auto loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::BadMagic);
 }
 
 TEST(TraceCorruption, FutureVersionIsRejectedWithBothVersions)
@@ -342,11 +363,11 @@ TEST(TraceCorruption, FutureVersionIsRejectedWithBothVersions)
     bytes[8] = static_cast<char>(bytes[8] + 3);
     const std::string path = tempPath("version-bad");
     spit(path, bytes);
-    auto opened = TraceReader::open(path);
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::BadVersion);
-    EXPECT_NE(opened.error().message().find("v4"), std::string::npos);
-    EXPECT_NE(opened.error().message().find("v1"), std::string::npos);
+    auto loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::BadVersion);
+    EXPECT_NE(loaded.error().message().find("v4"), std::string::npos);
+    EXPECT_NE(loaded.error().message().find("v1"), std::string::npos);
 }
 
 TEST(TraceCorruption, FlippedHeaderByteFailsHeaderCrc)
@@ -356,9 +377,9 @@ TEST(TraceCorruption, FlippedHeaderByteFailsHeaderCrc)
     bytes[16] = static_cast<char>(bytes[16] ^ 0x01); // seed field
     const std::string path = tempPath("header-flip-bad");
     spit(path, bytes);
-    auto opened = TraceReader::open(path);
-    ASSERT_FALSE(opened.hasValue());
-    EXPECT_EQ(opened.error().kind, TraceErrorKind::BadCrc);
+    auto loaded = loadTrace(path);
+    ASSERT_FALSE(loaded.hasValue());
+    EXPECT_EQ(loaded.error().kind, TraceErrorKind::BadCrc);
 }
 
 TEST(TraceCorruption, FlippedChunkByteNamesChunkAndOffset)
@@ -411,10 +432,10 @@ TEST(TraceCorruption, ChunkBoundaryTruncationFailsCountCheck)
     // Recover the first chunk's frame length from its header to cut
     // the file exactly between two chunks: framing stays intact, so
     // only the header's total record count can catch the loss.
-    auto opened = TraceReader::open(sample);
-    ASSERT_TRUE(opened.hasValue());
+    auto loaded = loadTrace(sample);
+    ASSERT_TRUE(loaded.hasValue());
     const std::uint64_t header_size = kHeaderFixedBytes
-        + opened.value().meta().workload.size() + kChunkCrcBytes;
+        + loaded->meta.workload.size() + kChunkCrcBytes;
     const auto *head = reinterpret_cast<const std::uint8_t *>(
         bytes.data() + header_size);
     const std::uint64_t first_frame = kChunkHeaderBytes
@@ -451,10 +472,10 @@ TEST(TraceCorruption, GarbageChunkHeaderIsBadChunkNotCrash)
 {
     const std::string sample = writeSampleTrace("garbage", 1, 50);
     std::vector<char> bytes = slurp(sample);
-    auto opened = TraceReader::open(sample);
-    ASSERT_TRUE(opened.hasValue());
+    auto loaded = loadTrace(sample);
+    ASSERT_TRUE(loaded.hasValue());
     const std::size_t header_size = kHeaderFixedBytes
-        + opened.value().meta().workload.size() + kChunkCrcBytes;
+        + loaded->meta.workload.size() + kChunkCrcBytes;
 
     // Absurd payload length field.
     std::vector<char> mutated = bytes;
@@ -481,7 +502,8 @@ namespace
 /**
  * How one entry point settled on a byte image: accepted, or rejected
  * with an error kind, offset and chunk.  records counts the records
- * of the chunks decoded before the verdict.
+ * of the chunks decoded before the verdict.  Both entry points also
+ * run the replay check that every core holds records.
  */
 struct Verdict
 {
@@ -519,7 +541,7 @@ verdictOf(const Expected<bool, TraceError> &result,
     return v;
 }
 
-/** The file reader's full unfiltered decode of @p bytes. */
+/** loadTrace of @p bytes written to a file. */
 Verdict
 fileVerdict(const std::vector<char> &bytes)
 {
@@ -528,9 +550,11 @@ fileVerdict(const std::vector<char> &bytes)
         std::string("parity-")
         + ::testing::UnitTest::GetInstance()->current_test_info()->name());
     spit(path, bytes);
-    std::uint64_t records = 0;
-    const auto result = decodeAll(path, &records);
-    return verdictOf(result, records);
+    auto loaded = loadTrace(path);
+    if (!loaded.hasValue())
+        return verdictOf(unexpected(loaded.error()), 0);
+    return verdictOf(checkEveryCoreHasRecords(loaded->coreRecords),
+                     totalRecords(*loaded));
 }
 
 /** StreamingTraceDecoder fed @p bytes in @p slice-byte pieces. */
@@ -546,25 +570,36 @@ streamVerdict(const std::vector<char> &bytes, std::size_t slice)
             return verdictOf(fed, decoder.recordsDecoded());
     }
     const auto finished = decoder.finish();
-    return verdictOf(finished, decoder.recordsDecoded());
+    if (!finished.hasValue())
+        return verdictOf(finished, decoder.recordsDecoded());
+    return verdictOf(checkEveryCoreHasRecords(decoder.takeCoreRecords()),
+                     decoder.recordsDecoded());
 }
 
 /**
- * Both entry points must reach the same verdict on @p bytes: the file
- * reader, and the streaming decoder fed whole, in 1-byte slices and
- * in 7-byte slices.  Returns the shared verdict.
+ * Both entry points must reach the same verdict on @p bytes: loadTrace
+ * on a file, and the streaming decoder fed whole, in 1-byte slices
+ * and in 7-byte slices.  A load that fails hands out no records, so
+ * the file side is held to the stream's count only when it loaded;
+ * the three slicings agree on it always.  Returns the stream verdict.
  */
 Verdict
 expectParity(const std::vector<char> &bytes, const std::string &label)
 {
-    const Verdict file = fileVerdict(bytes);
-    const std::size_t whole = std::max<std::size_t>(bytes.size(), 1);
-    for (const std::size_t slice : {whole, std::size_t{1}, std::size_t{7}}) {
-        EXPECT_EQ(streamVerdict(bytes, slice), file)
+    const Verdict stream =
+        streamVerdict(bytes, std::max<std::size_t>(bytes.size(), 1));
+    for (const std::size_t slice : {std::size_t{1}, std::size_t{7}}) {
+        EXPECT_EQ(streamVerdict(bytes, slice), stream)
             << label << ": stream fed in " << slice
-            << "-byte slices disagrees with the file reader";
+            << "-byte slices disagrees with the stream fed whole";
     }
-    return file;
+    const Verdict file = fileVerdict(bytes);
+    Verdict expected = stream;
+    if (!file.accepted && file.records == 0)
+        expected.records = 0; // the load failed and handed out nothing
+    EXPECT_EQ(file, expected)
+        << label << ": loadTrace disagrees with the stream decoder";
+    return stream;
 }
 
 /** Recompute the header CRC after a deliberate header-field edit. */
@@ -652,6 +687,8 @@ TEST(TraceParity, EveryCorruptionSettlesAlikeOnBothEntryPoints)
     patchHeaderCrc(many_cores);
     cases.push_back({"core count above the cap", many_cores,
                      TraceErrorKind::BadHeader, 12});
+    cases.push_back({"idle core", slurp(writeIdleCoreTrace("parity-idle")),
+                     TraceErrorKind::CountMismatch, 0});
 
     for (const Case &c : cases) {
         const Verdict v = expectParity(c.bytes, c.name);
@@ -762,12 +799,12 @@ TEST(TraceRoundTrip, ReplayedTraceCarriesRunnersMetadata)
     Runner recorder(recording);
     recorder.runRate(DesignKind::Alloy, "wrf");
 
-    auto opened = TraceReader::open(path);
-    ASSERT_TRUE(opened.hasValue());
-    EXPECT_EQ(opened.value().meta().workload, "wrf");
-    EXPECT_EQ(opened.value().meta().seed, options.seed);
-    EXPECT_EQ(opened.value().meta().coreCount, options.cores);
-    EXPECT_EQ(opened.value().meta().recordCount,
+    auto loaded = loadTrace(path);
+    ASSERT_TRUE(loaded.hasValue());
+    EXPECT_EQ(loaded->meta.workload, "wrf");
+    EXPECT_EQ(loaded->meta.seed, options.seed);
+    EXPECT_EQ(loaded->meta.coreCount, options.cores);
+    EXPECT_EQ(loaded->meta.recordCount,
               (options.warmupRefsPerCore + options.measureRefsPerCore)
                   * options.cores);
 }
@@ -781,6 +818,67 @@ TEST(TraceRoundTrip, ReplayRejectsCoreCountMismatch)
     // the corpus before any simulation — or worker thread — starts.
     EXPECT_EXIT(Runner runner(options),
                 ::testing::ExitedWithCode(1), "recorded with 2 cores");
+}
+
+TEST(TraceRoundTrip, ReplayRejectsIdleCoreBeforeSimulation)
+{
+    RunnerOptions options = fastOptions();
+    options.cores = 2;
+    options.traceInPath = writeIdleCoreTrace("idle-corpus");
+    EXPECT_EXIT(Runner runner(options), ::testing::ExitedWithCode(1),
+                "trace holds no records for core 1");
+}
+
+TEST(TraceRoundTrip, CorpusIsReadOnceAndSharedByEveryWorker)
+{
+    RunnerOptions options = fastOptions();
+    options.warmupRefsPerCore = 4000;
+    options.measureRefsPerCore = 2000;
+    const std::string path = tempPath("read-once");
+    RunnerOptions recording = options;
+    recording.traceOutPath = path;
+    Runner(recording).runRate(DesignKind::Alloy, "mcf");
+    const std::vector<char> corpus = slurp(path);
+
+    std::vector<RunJob> jobs;
+    for (const DesignKind design : {DesignKind::Alloy, DesignKind::Bear}) {
+        for (const char *label : {"mcf", "wrf"}) {
+            RunJob job;
+            job.design = design;
+            job.rateBenchmark = label;
+            jobs.push_back(job);
+        }
+    }
+    const auto reportsOf = [&jobs](Runner &runner) {
+        std::vector<std::string> reports;
+        for (const RunOutcome &outcome : runner.runAll(jobs)) {
+            EXPECT_TRUE(outcome.hasValue()) << outcome.error().message();
+            reports.push_back(outcome.hasValue()
+                                  ? runResultToJson(*outcome)
+                                  : std::string());
+        }
+        return reports;
+    };
+
+    RunnerOptions replaying = options;
+    replaying.traceInPath = path;
+    Runner present(replaying);
+    const std::vector<std::string> expected = reportsOf(present);
+
+    // A Runner reads its corpus once, in the constructor: deleting the
+    // file afterwards changes nothing, with one worker or with four
+    // sharing the decoded records.
+    for (const std::uint32_t workers : {1U, 4U}) {
+        const std::string copy =
+            tempPath("read-once-" + std::to_string(workers));
+        spit(copy, corpus);
+        replaying.traceInPath = copy;
+        replaying.workers = workers;
+        Runner runner(replaying);
+        ASSERT_EQ(std::remove(copy.c_str()), 0);
+        EXPECT_EQ(reportsOf(runner), expected)
+            << workers << " worker(s)";
+    }
 }
 
 TEST(TraceRoundTrip, ReplayRejectsMissingCorpusBeforeSimulation)

@@ -85,13 +85,13 @@ designOrDie(const std::string &name)
 int
 runOffline(const std::string &trace_path, const std::string &design)
 {
-    auto reader = bear::trace::TraceReader::open(trace_path);
-    if (!reader.hasValue()) {
+    auto loaded = bear::trace::loadTrace(trace_path);
+    if (!loaded.hasValue()) {
         std::fprintf(stderr, "beard: %s: %s\n", trace_path.c_str(),
-                     reader.error().message().c_str());
+                     loaded.error().message().c_str());
         return 1;
     }
-    const bear::trace::TraceMeta meta = reader->meta();
+    const bear::trace::TraceMeta meta = loaded->meta;
 
     bear::RunnerOptions options = bear::RunnerOptions::fromEnv();
     options.cores = meta.coreCount;

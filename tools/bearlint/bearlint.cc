@@ -60,7 +60,7 @@
  * Being lexical, the analyzer is deliberately conservative: BL001
  * resolves callees by name (static factories are matched only behind
  * a `Class::` qualifier, so std::ofstream::open is never confused
- * with TraceReader::open), and anything it cannot prove discarded is
+ * with TraceWriter::create), and anything it cannot prove discarded is
  * not reported.  The compiler-side [[nodiscard]] attribute remains
  * the ground truth; bearlint is the gate that keeps the tree at zero.
  */

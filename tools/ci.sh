@@ -15,10 +15,11 @@
 #      that journal must finish cleanly with a JSON report
 #      byte-identical to an unfaulted run's
 #   6. ThreadSanitizer: rebuild with BEAR_SANITIZE=thread and drive
-#      the worker pool hard (BEAR_WORKERS=4 fig12 sweep) plus the
-#      chaos faulted->resume contract, so the lock discipline that
-#      clang's static analysis proves on paper is also checked under
-#      real interleavings
+#      the worker pool hard (BEAR_WORKERS=4 fig12 sweep), the chaos
+#      faulted->resume contract, and a recorded trace replayed by four
+#      workers sharing one loaded corpus (diffed against one worker),
+#      so the lock discipline that clang's static analysis proves on
+#      paper is also checked under real interleavings
 #   7. static analysis: tools/lint.sh (bearlint always; clang-tidy
 #      skipped when absent)
 #   8. strict thread-safety build: clang with -Wthread-safety
@@ -139,6 +140,19 @@ BEAR_WORKERS=4 BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
     BEAR_JOURNAL="${workdir}/tsan-chaos.journal" \
     BEAR_JSON="${workdir}/tsan-chaos-final.jsonl" \
     build-tsan/tools/chaos_sweep >/dev/null
+# A Runner loads BEAR_TRACE_IN once and every worker replays from
+# that one read-only copy: the sweep over a recorded trace must give
+# the same report with four workers as with one.
+tsan_trace="${workdir}/tsan-mcf.beartrace"
+BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
+    build-tsan/tools/trace_record mcf "${tsan_trace}" >/dev/null
+for workers in 1 4; do
+    BEAR_WORKERS="${workers}" BEAR_WARMUP=2000 BEAR_MEASURE=1000 \
+        BEAR_TRACE_IN="${tsan_trace}" \
+        BEAR_JSON="${workdir}/tsan-replay-${workers}.jsonl" \
+        build-tsan/tools/chaos_sweep >/dev/null
+done
+diff "${workdir}/tsan-replay-1.jsonl" "${workdir}/tsan-replay-4.jsonl"
 
 echo "=== [7/12] static analysis (bearlint + clang-tidy)"
 tools/lint.sh build

@@ -8,16 +8,16 @@
  * Prints the header metadata (workload, seed, cores, record count,
  * format version), decodes the whole file to per-core record counts
  * and reference statistics (reads/writes/dependent loads), and shows
- * the first N decoded records (default 8).  Because it decodes every
- * chunk, a successful dump doubles as an integrity check: bad CRCs,
- * truncation and version mismatches come back as the same TraceError
- * diagnostics the replay path would raise.
+ * the first N decoded records of each core (default 8).  It loads
+ * the file exactly as replay does, so a successful dump doubles as an
+ * integrity check: bad CRCs, truncation and version mismatches come
+ * back as the same TraceError diagnostics replay would raise.
  *
  * The self-test writes a small trace to a temporary file, dumps it,
  * and then verifies the corruption contracts on mutated copies
  * (flipped payload byte → bad-crc, truncated tail → truncated, bumped
  * version byte → bad-version, core count above the format cap →
- * bad-header at open, before any per-core table is sized from it), so
+ * bad-header, before any per-core table is sized from it), so
  * CI proves corrupted traces are rejected loudly without a single
  * real workload file.
  */
@@ -38,19 +38,18 @@ namespace
 const char *const kUsage =
     "usage: trace_dump <file.beartrace> [--records N]\n"
     "       trace_dump --selftest\n"
-    "  --records  decoded records to print (default 8)\n";
+    "  --records  decoded records to print per core (default 8)\n";
 
 int
 dump(const std::string &path, std::uint64_t show_records)
 {
-    auto opened = bear::trace::TraceReader::open(path);
-    if (!opened.hasValue()) {
+    auto loaded = bear::trace::loadTrace(path);
+    if (!loaded.hasValue()) {
         std::fprintf(stderr, "trace_dump: %s: %s\n", path.c_str(),
-                     opened.error().message().c_str());
+                     loaded.error().message().c_str());
         return 1;
     }
-    bear::trace::TraceReader reader = std::move(opened.value());
-    const bear::trace::TraceMeta &meta = reader.meta();
+    const bear::trace::TraceMeta &meta = loaded->meta;
 
     std::printf("%s\n", path.c_str());
     std::printf("  format    v%u\n", bear::trace::kFormatVersion);
@@ -61,46 +60,40 @@ dump(const std::string &path, std::uint64_t show_records)
     std::printf("  records   %llu\n",
                 static_cast<unsigned long long>(meta.recordCount));
 
-    std::vector<std::uint64_t> per_core(meta.coreCount, 0);
+    // The loader keeps each core's records in recorded order (not the
+    // file's interleaving), so the listing is per core.
+    std::uint64_t total = 0;
     std::uint64_t writes = 0;
     std::uint64_t dependents = 0;
-    std::uint64_t shown = 0;
-    for (;;) {
-        bear::MemRef ref;
-        bear::CoreId core = 0;
-        auto r = reader.next(&ref, &core);
-        if (!r.hasValue()) {
-            std::fprintf(stderr, "trace_dump: %s: %s\n", path.c_str(),
-                         r.error().message().c_str());
-            return 1;
+    for (bear::CoreId core = 0; core < meta.coreCount; ++core) {
+        const std::vector<bear::MemRef> &records =
+            loaded->coreRecords[core];
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const bear::MemRef &ref = records[i];
+            writes += ref.isWrite ? 1 : 0;
+            dependents += ref.dependent ? 1 : 0;
+            if (i < show_records) {
+                std::printf("  [%zu] core %u vaddr=0x%llX pc=0x%llX "
+                            "gap=%u%s%s\n",
+                            i, core,
+                            static_cast<unsigned long long>(ref.vaddr),
+                            static_cast<unsigned long long>(ref.pc),
+                            ref.instGap,
+                            ref.isWrite ? " write" : " read",
+                            ref.dependent ? " dependent" : "");
+            }
         }
-        if (!*r)
-            break;
-        ++per_core[core];
-        writes += ref.isWrite ? 1 : 0;
-        dependents += ref.dependent ? 1 : 0;
-        if (shown < show_records) {
-            std::printf("  [%llu] core %u vaddr=0x%llX pc=0x%llX "
-                        "gap=%u%s%s\n",
-                        static_cast<unsigned long long>(shown), core,
-                        static_cast<unsigned long long>(ref.vaddr),
-                        static_cast<unsigned long long>(ref.pc),
-                        ref.instGap, ref.isWrite ? " write" : " read",
-                        ref.dependent ? " dependent" : "");
-            ++shown;
-        }
+        total += records.size();
     }
 
-    std::uint64_t total = 0;
-    for (bear::CoreId c = 0; c < meta.coreCount; ++c) {
-        std::printf("  core %u: %llu records\n", c,
-                    static_cast<unsigned long long>(per_core[c]));
-        total += per_core[c];
+    for (bear::CoreId core = 0; core < meta.coreCount; ++core) {
+        std::printf("  core %u: %zu records\n", core,
+                    loaded->coreRecords[core].size());
     }
     std::printf("  %llu records in %llu chunks; %.1f%% writes, "
                 "%.1f%% dependent loads\n",
                 static_cast<unsigned long long>(total),
-                static_cast<unsigned long long>(reader.chunksSeen()),
+                static_cast<unsigned long long>(loaded->chunks),
                 total ? 100.0 * static_cast<double>(writes)
                         / static_cast<double>(total)
                       : 0.0,
@@ -142,42 +135,23 @@ patchHeaderCrc(std::vector<char> &bytes)
             static_cast<char>(patched >> (8 * byte));
 }
 
-/** Expect open+full decode of @p path to fail with @p kind. */
+/** Expect loading @p path to fail with @p kind. */
 bool
 expectRejected(const std::string &path, bear::trace::TraceErrorKind kind,
                const char *what)
 {
-    auto opened = bear::trace::TraceReader::open(path);
-    if (!opened.hasValue()) {
-        if (opened.error().kind == kind)
-            return true;
-        std::fprintf(stderr,
-                     "selftest: FAILED: %s rejected as %s, wanted "
-                     "%s\n",
-                     what,
-                     traceErrorKindName(opened.error().kind),
-                     traceErrorKindName(kind));
+    auto loaded = bear::trace::loadTrace(path);
+    if (loaded.hasValue()) {
+        std::fprintf(stderr, "selftest: FAILED: %s was accepted\n",
+                     what);
         return false;
     }
-    bear::trace::TraceReader reader = std::move(opened.value());
-    for (;;) {
-        bear::MemRef ref;
-        bear::CoreId core = 0;
-        auto r = reader.next(&ref, &core);
-        if (!r.hasValue()) {
-            if (r.error().kind == kind)
-                return true;
-            std::fprintf(stderr,
-                         "selftest: FAILED: %s rejected as %s, "
-                         "wanted %s\n",
-                         what, traceErrorKindName(r.error().kind),
-                         traceErrorKindName(kind));
-            return false;
-        }
-        if (!*r)
-            break;
-    }
-    std::fprintf(stderr, "selftest: FAILED: %s was accepted\n", what);
+    if (loaded.error().kind == kind)
+        return true;
+    std::fprintf(stderr,
+                 "selftest: FAILED: %s rejected as %s, wanted %s\n",
+                 what, traceErrorKindName(loaded.error().kind),
+                 traceErrorKindName(kind));
     return false;
 }
 
@@ -253,8 +227,8 @@ selftest()
                         "future format version")
         && ok;
 
-    // A 0xFFFFFFFF core count with a valid CRC: open() must refuse it
-    // before dump() sizes its per-core table from it.
+    // A 0xFFFFFFFF core count with a valid CRC: the header parser
+    // must refuse it before any per-core table is sized from it.
     std::vector<char> manyCores = pristine;
     for (int byte = 0; byte < 4; ++byte)
         manyCores[12 + static_cast<std::size_t>(byte)] =

@@ -105,31 +105,16 @@ selftest()
     constexpr std::uint64_t kRefs = 500;
     int rc = record("mcf", path, kRefs, kCores, 42, 0.0625);
     if (rc == 0) {
-        auto opened = bear::trace::TraceReader::open(path);
-        if (!opened.hasValue()) {
-            std::fprintf(stderr, "selftest: reopen failed: %s\n",
-                         opened.error().message().c_str());
+        auto loaded = bear::trace::loadTrace(path);
+        if (!loaded.hasValue()) {
+            std::fprintf(stderr, "selftest: decode failed: %s\n",
+                         loaded.error().message().c_str());
             rc = 1;
         } else {
-            bear::trace::TraceReader reader =
-                std::move(opened.value());
             std::uint64_t records = 0;
-            for (;;) {
-                bear::MemRef ref;
-                bear::CoreId core = 0;
-                auto r = reader.next(&ref, &core);
-                if (!r.hasValue()) {
-                    std::fprintf(stderr, "selftest: decode failed: "
-                                         "%s\n",
-                                 r.error().message().c_str());
-                    rc = 1;
-                    break;
-                }
-                if (!*r)
-                    break;
-                ++records;
-            }
-            if (rc == 0 && records != kCores * kRefs) {
+            for (const auto &core : loaded->coreRecords)
+                records += core.size();
+            if (records != kCores * kRefs) {
                 std::fprintf(stderr,
                              "selftest: FAILED: read %llu of %llu "
                              "records\n",
