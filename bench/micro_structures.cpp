@@ -84,6 +84,24 @@ BM_TagStoreProbeDirectMapped(benchmark::State &state)
 }
 BENCHMARK(BM_TagStoreProbeDirectMapped);
 
+/** The rate-mcf L4 at scale 0.0625: 1M direct-mapped sets with 32-bit
+ *  tag words (a 4 MB plane, past the L2), probed at random sets. */
+void
+BM_TagStoreProbeDirectMapped1M(benchmark::State &state)
+{
+    constexpr std::uint64_t kSets = 1 << 20;
+    const std::uint64_t max_tag = directMappedMaxTag(kSets);
+    TagStore store(TagStoreConfig{kSets, 1, TagRepl::None, 1, 0, max_tag});
+    Rng rng(10);
+    for (std::uint64_t set = 0; set < kSets; ++set)
+        store.install(set, 0, rng.below(max_tag));
+    for (auto _ : state) {
+        const std::uint64_t set = rng.below(kSets);
+        benchmark::DoNotOptimize(store.probe(set, set & 0xFFFF));
+    }
+}
+BENCHMARK(BM_TagStoreProbeDirectMapped1M);
+
 /** Fill/evict churn: victim selection plus install plus touch. */
 void
 BM_TagStoreInstallEvict(benchmark::State &state)

@@ -35,7 +35,7 @@ replOf(ReplacementKind kind)
 } // namespace
 
 SramCache::SramCache(const SramCacheConfig &config)
-    : config_(config), sets_(setsOf(config)),
+    : config_(config), sets_(setsOf(config)), split_(sets_),
       tags_(TagStoreConfig{sets_, config.ways, replOf(config.replacement),
                            1, 0})
 {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/divisor.hh"
 #include "common/types.hh"
 #include "dramcache/tag_store.hh"
 
@@ -101,6 +102,9 @@ class SramCache
     /** Read the DCP bit; false if the line is absent. */
     bool presence(LineAddr line) const;
 
+    /** Host prefetch of @p line's set rows (DESIGN.md §15). */
+    void prefetch(LineAddr line) const { tags_.prefetch(setOf(line)); }
+
     const SramCacheConfig &config() const { return config_; }
     std::uint64_t sets() const { return sets_; }
     std::uint64_t hits() const { return hits_; }
@@ -112,11 +116,12 @@ class SramCache
     void resetStats();
 
   private:
-    std::uint64_t setOf(LineAddr line) const { return line % sets_; }
-    std::uint64_t tagOf(LineAddr line) const { return line / sets_; }
+    std::uint64_t setOf(LineAddr line) const { return split_.rem(line); }
+    std::uint64_t tagOf(LineAddr line) const { return split_.quot(line); }
 
     SramCacheConfig config_;
     std::uint64_t sets_;
+    Divisor split_; ///< line -> (set, tag)
     /** Tags, valid/dirty masks, the DCP bit (flag plane) and the
      *  replacement plane all live in the shared SoA store. */
     TagStore tags_;

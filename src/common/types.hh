@@ -42,6 +42,15 @@ constexpr std::uint64_t kLineShift = 6;
 constexpr std::uint64_t kPageSize = 4096;
 constexpr std::uint64_t kPageShift = 12;
 
+/**
+ * Width of a simulated physical line address.  PageMapper hands out
+ * frame numbers below 2^35 (vm/page_mapper.hh pins the two together),
+ * so every line the hierarchy sees lies below 2^41.  Direct-mapped
+ * L4s size their tag words from this bound (DESIGN.md §14).
+ */
+constexpr unsigned kPhysLineBits = 41;
+constexpr std::uint64_t kMaxPhysLine = (1ULL << kPhysLineBits) - 1;
+
 /** Alloy Cache Tag-And-Data entry: 8 B tag + 64 B data (paper Sec 6.1). */
 constexpr Bytes kTadSize{72};
 

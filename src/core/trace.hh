@@ -15,6 +15,7 @@
 #ifndef BEAR_CORE_TRACE_HH
 #define BEAR_CORE_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -32,12 +33,27 @@ struct MemRef
     bool dependent = false;   ///< load value needed immediately
 };
 
-/** Generator interface: an endless stream of references. */
+/**
+ * Generator interface: an endless stream of references.
+ *
+ * peek() looks ahead without consuming: peek(k) is the reference the
+ * (k+1)-th next() from now returns, and any mix of peek() and next()
+ * calls yields the same next() sequence as next() alone (DESIGN.md
+ * §15).  A stream that cannot look ahead returns nullptr, which is
+ * the default.
+ */
 class RefStream
 {
   public:
+    /** Lookahead every peeking stream supports: peek(k), k < kMaxPeek. */
+    static constexpr std::size_t kMaxPeek = 4;
+
     virtual ~RefStream() = default;
     virtual MemRef next() = 0;
+
+    /** The reference @p k places ahead, or nullptr; valid until the
+     *  next call on this stream. */
+    virtual const MemRef *peek(std::size_t) { return nullptr; }
 };
 
 } // namespace bear

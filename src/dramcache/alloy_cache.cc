@@ -8,9 +8,10 @@ namespace bear
 AlloyCache::AlloyCache(const AlloyConfig &config, DramSystem &dram,
                        DramSystem &memory, BloatTracker &bloat)
     : DramCache(dram, memory, bloat), config_(config),
-      sets_(Bytes{config.capacityBytes} / kLineSize),
+      sets_(Bytes{config.capacityBytes} / kLineSize), split_(sets_),
       layout_(sets_, dram.geometry()),
-      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0}),
+      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0,
+                           directMappedMaxTag(sets_)}),
       fill_rng_(config.seed)
 {
     if (config_.inclusive) {
@@ -353,6 +354,12 @@ AlloyCache::serviceWriteback(const WritebackRequest &request)
     if (ttc_)
         ttc_->updateIfCached(0, set, tag, true, true);
     return probe.dataReady;
+}
+
+void
+AlloyCache::prefetch(LineAddr line) const
+{
+    tags_.prefetch(setOf(line));
 }
 
 bool

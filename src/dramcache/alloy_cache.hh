@@ -104,6 +104,9 @@ class AlloyCache : public DramCache
         return isDirty(line);
     }
 
+    /** Prefetch @p line's TAD tag word and valid mask word. */
+    void prefetch(LineAddr line) const override;
+
     std::uint64_t sets() const { return sets_; }
     const AlloyConfig &config() const { return config_; }
 
@@ -126,8 +129,8 @@ class AlloyCache : public DramCache
     Cycle serviceWriteback(const WritebackRequest &request) override;
 
   private:
-    std::uint64_t setOf(LineAddr line) const { return line % sets_; }
-    std::uint64_t tagOf(LineAddr line) const { return line / sets_; }
+    std::uint64_t setOf(LineAddr line) const { return split_.rem(line); }
+    std::uint64_t tagOf(LineAddr line) const { return split_.quot(line); }
 
     /** Flat bank id for the NTC. */
     std::uint32_t bankIdOf(const DramCoord &coord) const;
@@ -152,6 +155,7 @@ class AlloyCache : public DramCache
 
     AlloyConfig config_;
     std::uint64_t sets_;
+    Divisor split_; ///< line -> (set, tag)
     TadLayout layout_;
     /** Direct-mapped TAD metadata (the 64 B of data are not
      *  materialised): one way per set in the shared SoA store. */

@@ -8,9 +8,10 @@ namespace bear
 BwOptCache::BwOptCache(std::uint64_t capacity_bytes, DramSystem &dram,
                        DramSystem &memory, BloatTracker &bloat)
     : DramCache(dram, memory, bloat),
-      sets_(Bytes{capacity_bytes} / kLineSize),
+      sets_(Bytes{capacity_bytes} / kLineSize), split_(sets_),
       layout_(sets_, dram.geometry()),
-      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0})
+      tags_(TagStoreConfig{sets_, 1, TagRepl::None, 1, 0,
+                           directMappedMaxTag(sets_)})
 {
 }
 

@@ -44,10 +44,11 @@ class BwOptCache : public DramCache
     Cycle serviceWriteback(const WritebackRequest &request) override;
 
   private:
-    std::uint64_t setOf(LineAddr line) const { return line % sets_; }
-    std::uint64_t tagOf(LineAddr line) const { return line / sets_; }
+    std::uint64_t setOf(LineAddr line) const { return split_.rem(line); }
+    std::uint64_t tagOf(LineAddr line) const { return split_.quot(line); }
 
     std::uint64_t sets_;
+    Divisor split_; ///< line -> (set, tag)
     TadLayout layout_;
     TagStore tags_; ///< direct-mapped: one way per set
 };

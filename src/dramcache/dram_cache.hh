@@ -30,6 +30,7 @@
 #include <functional>
 #include <string>
 
+#include "common/divisor.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "dramcache/bloat.hh"
@@ -161,6 +162,14 @@ class DramCache
     /** On-chip SRAM the design requires (Table 5 / Section 8). */
     virtual Bytes sramOverheadBytes() const { return Bytes{0}; }
 
+    /**
+     * Host prefetch of the tag state a read or writeback of @p line
+     * will touch.  A hint for the simulator's own memory system: it
+     * changes no simulated state, so the default does nothing
+     * (DESIGN.md §15).
+     */
+    virtual void prefetch(LineAddr) const {}
+
     void setEvictionListener(EvictionListener listener)
     {
         eviction_listener_ = std::move(listener);
@@ -269,6 +278,17 @@ class DramCache
 };
 
 /**
+ * Largest tag a direct-mapped L4 of @p sets sets is ever given: the
+ * tag of the highest physical line.  Below 2^31 from 1024 sets up, so
+ * such a store keeps 32-bit tag words (DESIGN.md §14).
+ */
+inline std::uint64_t
+directMappedMaxTag(std::uint64_t sets)
+{
+    return sets ? kMaxPhysLine / sets : kMaxPhysLine;
+}
+
+/**
  * Physical layout of a direct-mapped TAD array (paper Figure 10):
  * 28 consecutive TADs share one 2 KB row; rows interleave across
  * channels, then banks.
@@ -286,16 +306,16 @@ class TadLayout
     DramCoord
     coordOf(std::uint64_t set) const
     {
-        const std::uint64_t row_id = set / tads_per_row_;
+        const std::uint64_t row_id = tads_per_row_.quot(set);
         DramCoord coord;
-        coord.channel = static_cast<std::uint32_t>(row_id % channels_);
-        const std::uint64_t rest = row_id / channels_;
-        coord.bank = static_cast<std::uint32_t>(rest % banks_);
-        coord.row = rest / banks_;
+        coord.channel = static_cast<std::uint32_t>(channels_.rem(row_id));
+        const std::uint64_t rest = channels_.quot(row_id);
+        coord.bank = static_cast<std::uint32_t>(banks_.rem(rest));
+        coord.row = banks_.quot(rest);
         return coord;
     }
 
-    std::uint64_t tadsPerRow() const { return tads_per_row_; }
+    std::uint64_t tadsPerRow() const { return tads_per_row_.value(); }
     std::uint64_t sets() const { return sets_; }
 
     /** The set whose tag rides along on an access to @p set (the next
@@ -303,16 +323,17 @@ class TadLayout
     std::uint64_t
     neighborOf(std::uint64_t set) const
     {
+        // set + 1 leaves the row exactly when it starts the next one.
         const std::uint64_t next = set + 1;
-        if (next >= sets_ || next / tads_per_row_ != set / tads_per_row_)
+        if (next >= sets_ || tads_per_row_.rem(next) == 0)
             return sets_;
         return next;
     }
 
   private:
-    std::uint64_t tads_per_row_;
-    std::uint64_t channels_;
-    std::uint64_t banks_;
+    Divisor tads_per_row_; ///< 28 on a 2 KB row: the division path
+    Divisor channels_;
+    Divisor banks_;
     std::uint64_t sets_;
 };
 

@@ -9,8 +9,11 @@
  * bytes.  TagStore packs the same state into cache-line-aligned
  * planes:
  *
- *  - `tags_`  — one 64-bit tag per (set, way), row-major, so probing a
- *    set scans one contiguous run of at most 8 cache lines;
+ *  - the tag plane — one tag word per (set, way), row-major, so
+ *    probing a set scans one contiguous run of at most 8 cache lines.
+ *    A word is 32 bits when the caller's declared maximum tag fits in
+ *    32 bits and 64 bits otherwise (DESIGN.md §14): a direct-mapped
+ *    L4 never needs more than 31 tag bits, so its plane halves;
  *  - `valid_` / `dirty_` / `flag_` — per-set way bitmasks (bit w =
  *    way w), packed `64 / bit_ceil(ways)` sets per 64-bit word so the
  *    mask planes stay dense at every associativity (a direct-mapped
@@ -55,6 +58,7 @@
 #include <type_traits>
 
 #include "common/log.hh"
+#include "common/prefetch.hh"
 #include "common/rng.hh"
 
 namespace bear
@@ -129,6 +133,9 @@ struct TagStoreConfig
     TagRepl repl = TagRepl::None;
     std::uint64_t replSeed = 1; ///< TagRepl::Random only
     std::uint32_t metaPlanes = 0; ///< per-entry u64 payload planes
+    /** Largest tag install() may be given; <= 2^32 - 1 selects 32-bit
+     *  tag words.  The default keeps 64-bit words. */
+    std::uint64_t maxTag = ~0ULL;
 };
 
 /** Result of a set probe. */
@@ -153,7 +160,8 @@ class TagStore
                         ? ~0ULL
                         : (1ULL << config.ways) - 1),
           repl_(config.repl), meta_planes_(config.metaPlanes),
-          rng_(config.replSeed)
+          max_tag_(config.maxTag),
+          narrow_(config.maxTag <= 0xFFFFFFFFULL), rng_(config.replSeed)
     {
         bear_assert(sets_ > 0, "TagStore needs at least one set");
         bear_assert(ways_ >= 1 && ways_ <= kMaxWays,
@@ -171,7 +179,10 @@ class TagStore
         spw_mask_ = (1ULL << spw_shift_) - 1;
         const std::uint64_t mask_words =
             (sets_ >> spw_shift_) + ((sets_ & spw_mask_) ? 1 : 0);
-        tags_.reset(sets_ * ways_, 0);
+        if (narrow_)
+            tags32_.reset(sets_ * ways_, 0);
+        else
+            tags64_.reset(sets_ * ways_, 0);
         valid_.reset(mask_words, 0);
         dirty_.reset(mask_words, 0);
         flag_.reset(mask_words, 0);
@@ -185,6 +196,9 @@ class TagStore
 
     std::uint64_t sets() const { return sets_; }
     std::uint32_t ways() const { return ways_; }
+    /** Bytes per stored tag: 4 when the declared maximum tag fits in
+     *  32 bits, else 8. */
+    std::uint32_t tagWordBytes() const { return narrow_ ? 4 : 8; }
 
     /**
      * Branch-lean associative lookup: compare every way's tag, fold
@@ -195,10 +209,8 @@ class TagStore
     TagProbe
     probe(std::uint64_t set, std::uint64_t tag) const
     {
-        const std::uint64_t *row = &tags_[set * ways_];
-        std::uint64_t match = 0;
-        for (std::uint32_t w = 0; w < ways_; ++w)
-            match |= static_cast<std::uint64_t>(row[w] == tag) << w;
+        std::uint64_t match = narrow_ ? matchRow(tags32_, set, tag)
+                                      : matchRow(tags64_, set, tag);
         match &= maskOf(valid_, set);
         TagProbe result;
         result.hit = match != 0;
@@ -263,7 +275,12 @@ class TagStore
     install(std::uint64_t set, std::uint32_t way, std::uint64_t tag,
             bool dirty = false)
     {
-        tags_[set * ways_ + way] = tag;
+        bear_assert(tag <= max_tag_, "TagStore tag ", tag,
+                    " exceeds the declared maximum ", max_tag_);
+        if (narrow_)
+            tags32_[set * ways_ + way] = static_cast<std::uint32_t>(tag);
+        else
+            tags64_[set * ways_ + way] = tag;
         setBit(valid_, set, way, true);
         setBit(dirty_, set, way, dirty);
         setBit(flag_, set, way, false);
@@ -323,7 +340,27 @@ class TagStore
     std::uint64_t
     tagAt(std::uint64_t set, std::uint32_t way) const
     {
-        return tags_[set * ways_ + way];
+        return narrow_ ? tags32_[set * ways_ + way]
+                       : tags64_[set * ways_ + way];
+    }
+
+    /**
+     * Host prefetch of what a probe and a fill of @p set read: the tag
+     * row, the valid mask word and, under LRU, the timestamp row.  A
+     * hint only; no state changes (DESIGN.md §15).
+     */
+    void
+    prefetch(std::uint64_t set) const
+    {
+        const std::size_t entry = set * ways_;
+        if (narrow_)
+            prefetchSpan(&tags32_[entry], ways_ * sizeof(std::uint32_t));
+        else
+            prefetchSpan(&tags64_[entry], ways_ * sizeof(std::uint64_t));
+        hostPrefetch(&valid_[set >> spw_shift_]);
+        if (repl_ == TagRepl::Lru)
+            prefetchSpan(&last_touch_[entry],
+                         ways_ * sizeof(std::uint64_t));
     }
 
     bool
@@ -379,11 +416,46 @@ class TagStore
     }
 
     /** Plane base addresses, for the alignment checks in tests. */
-    const std::uint64_t *tagPlane() const { return tags_.data(); }
+    const void *
+    tagPlane() const
+    {
+        return narrow_ ? static_cast<const void *>(tags32_.data())
+                       : static_cast<const void *>(tags64_.data());
+    }
     const std::uint64_t *validPlane() const { return valid_.data(); }
     const std::uint64_t *dirtyPlane() const { return dirty_.data(); }
 
   private:
+    /** Match mask of @p tag against @p set's row: bit w = way w. */
+    template <typename Word>
+    std::uint64_t
+    matchRow(const AlignedPlane<Word> &plane, std::uint64_t set,
+             std::uint64_t tag) const
+    {
+        // A 32-bit word widens before the compare, so a tag above
+        // 2^32 - 1 matches nothing rather than its truncation.
+        const Word *row = &plane[set * ways_];
+        std::uint64_t match = 0;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            match |= static_cast<std::uint64_t>(
+                         std::uint64_t{row[w]} == tag)
+                << w;
+        }
+        return match;
+    }
+
+    /** Prefetch every cache line of [@p p, @p p + @p bytes). */
+    static void
+    prefetchSpan(const void *p, std::size_t bytes)
+    {
+        const auto first = reinterpret_cast<std::uintptr_t>(p)
+            & ~std::uintptr_t{kPlaneAlignment - 1};
+        const auto last = reinterpret_cast<std::uintptr_t>(p) + bytes - 1;
+        for (std::uintptr_t line = first; line <= last;
+             line += kPlaneAlignment)
+            hostPrefetch(reinterpret_cast<const void *>(line));
+    }
+
     /** Bit offset of @p set's mask inside its packed word. */
     std::uint32_t
     shiftOf(std::uint64_t set) const
@@ -416,11 +488,14 @@ class TagStore
     std::uint64_t way_mask_;
     TagRepl repl_;
     std::uint32_t meta_planes_;
+    std::uint64_t max_tag_;
+    bool narrow_; ///< 32-bit tag words (max_tag_ fits in 32 bits)
     std::uint32_t mask_bits_log2_ = 6; ///< log2(bit_ceil(ways))
     std::uint32_t spw_shift_ = 0;      ///< log2(sets per mask word)
     std::uint64_t spw_mask_ = 0;       ///< (sets per word) - 1
 
-    AlignedPlane<std::uint64_t> tags_;  ///< [set * ways + way]
+    AlignedPlane<std::uint32_t> tags32_; ///< [set * ways + way], narrow
+    AlignedPlane<std::uint64_t> tags64_; ///< [set * ways + way], wide
     AlignedPlane<std::uint64_t> valid_; ///< packed per-set way bitmasks
     AlignedPlane<std::uint64_t> dirty_; ///< packed per-set way bitmasks
     AlignedPlane<std::uint64_t> flag_;  ///< packed per-set way bitmasks

@@ -72,68 +72,12 @@ BusTimeline::removeSlot(std::uint64_t pos)
     }
 }
 
-Cycle
-BusTimeline::reserve(Cycle earliest, Cycle duration)
-{
-    // Slide the pruning watermark forward and advance the head index
-    // past intervals no future arrival can interact with — a circular
-    // pop, not the front-erase memmove of a flat vector.
-    if (earliest > watermark_)
-        watermark_ = earliest;
-    const Cycle horizon =
-        watermark_ > kSkewWindow ? watermark_ - kSkewWindow : 0;
-    while (head_ != tail_ && at(head_).end < horizon)
-        ++head_;
-
-    // First-fit gap search.  The boundary (first interval whose end
-    // lies past `earliest`) is found by resuming from the cached hint:
-    // arrivals are near-monotonic, so it sits within a step or two of
-    // where the previous reservation landed, instead of a cold binary
-    // search over the whole window.
-    std::uint64_t pos = std::clamp(hint_, head_, tail_);
-    while (pos > head_ && at(pos - 1).end > earliest)
-        --pos;
-    while (pos < tail_ && at(pos).end <= earliest)
-        ++pos;
-    Cycle candidate = earliest;
-    for (; pos < tail_; ++pos) {
-        if (candidate + duration <= at(pos).start)
-            break;
-        if (at(pos).end > candidate)
-            candidate = at(pos).end;
-    }
-
-    // Insert [candidate, candidate+duration).  Neighbouring gaps too
-    // small for the shortest possible burst are absorbed so that the
-    // timeline stays compact (they could never be reserved anyway).
-    const Cycle end = candidate + duration;
-    const bool touch_prev =
-        pos > head_ && candidate <= at(pos - 1).end + kUselessGap;
-    const bool touch_next =
-        pos < tail_ && at(pos).start <= end + kUselessGap;
-    if (touch_prev && touch_next) {
-        at(pos - 1).end = at(pos).end;
-        removeSlot(pos);
-        hint_ = pos - 1;
-    } else if (touch_prev) {
-        at(pos - 1).end = end;
-        hint_ = pos - 1;
-    } else if (touch_next) {
-        at(pos).start = candidate;
-        hint_ = pos;
-    } else {
-        if (tail_ - head_ == ring_.size())
-            grow();
-        hint_ = openSlot(pos);
-        at(hint_) = Interval{candidate, end};
-    }
-    return candidate;
-}
-
 DramChannel::DramChannel(const DramTiming &timing,
                          const DramGeometry &geometry,
                          const WriteQueuePolicy &wq)
-    : timing_(timing), geometry_(geometry), wq_policy_(wq),
+    : timing_(timing), geometry_(geometry),
+      beat_split_(std::max<std::uint64_t>(geometry.busBeatWidth.count(), 1)),
+      wq_policy_(wq),
       banks_(geometry.banksPerChannel),
       bank_stats_(geometry.banksPerChannel)
 {
@@ -155,7 +99,9 @@ DramChannel::burstCycles(Bytes volume) const
 {
     // Round up to whole bus beats; e.g. a 72-byte TAD on a 16 B/cycle
     // bus occupies 5 cycles (80 bytes of bus time, paper Figure 10).
-    return cyclesOf(beatsToCover(volume, geometry_.busBeatWidth)).count();
+    // beatsToCover's ceil(volume / width), as a shift on a 2^k bus.
+    const Bytes padded = volume + Bytes{beat_split_.value() - 1};
+    return cyclesOf(Beats{beat_split_.quot(padded.count())}).count();
 }
 
 DramResult

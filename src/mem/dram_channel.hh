@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/divisor.hh"
 #include "common/types.hh"
 #include "mem/dram_config.hh"
 #include "obs/event_trace.hh"
@@ -95,7 +96,8 @@ class BusTimeline
     BusTimeline();
 
     /** Reserve @p duration cycles no earlier than @p earliest;
-     *  returns the scheduled start. */
+     *  returns the scheduled start.  Defined inline below so that it
+     *  fuses into DramChannel::service, its one caller. */
     Cycle reserve(Cycle earliest, Cycle duration);
 
     std::size_t intervals() const { return tail_ - head_; }
@@ -128,6 +130,64 @@ class BusTimeline
     std::uint64_t hint_ = 0; ///< gap-search resume point (absolute)
     Cycle watermark_ = 0;
 };
+
+inline Cycle
+BusTimeline::reserve(Cycle earliest, Cycle duration)
+{
+    // Slide the pruning watermark forward and advance the head index
+    // past intervals no future arrival can interact with — a circular
+    // pop, not the front-erase memmove of a flat vector.
+    if (earliest > watermark_)
+        watermark_ = earliest;
+    const Cycle horizon =
+        watermark_ > kSkewWindow ? watermark_ - kSkewWindow : 0;
+    while (head_ != tail_ && at(head_).end < horizon)
+        ++head_;
+
+    // First-fit gap search.  The boundary (first interval whose end
+    // lies past `earliest`) is found by resuming from the cached hint:
+    // arrivals are near-monotonic, so it sits within a step or two of
+    // where the previous reservation landed, instead of a cold binary
+    // search over the whole window.
+    std::uint64_t pos = std::clamp(hint_, head_, tail_);
+    while (pos > head_ && at(pos - 1).end > earliest)
+        --pos;
+    while (pos < tail_ && at(pos).end <= earliest)
+        ++pos;
+    Cycle candidate = earliest;
+    for (; pos < tail_; ++pos) {
+        if (candidate + duration <= at(pos).start)
+            break;
+        if (at(pos).end > candidate)
+            candidate = at(pos).end;
+    }
+
+    // Insert [candidate, candidate+duration).  Neighbouring gaps too
+    // small for the shortest possible burst are absorbed so that the
+    // timeline stays compact (they could never be reserved anyway).
+    const Cycle end = candidate + duration;
+    const bool touch_prev =
+        pos > head_ && candidate <= at(pos - 1).end + kUselessGap;
+    const bool touch_next =
+        pos < tail_ && at(pos).start <= end + kUselessGap;
+    if (touch_prev && touch_next) {
+        at(pos - 1).end = at(pos).end;
+        removeSlot(pos);
+        hint_ = pos - 1;
+    } else if (touch_prev) {
+        at(pos - 1).end = end;
+        hint_ = pos - 1;
+    } else if (touch_next) {
+        at(pos).start = candidate;
+        hint_ = pos;
+    } else {
+        if (tail_ - head_ == ring_.size())
+            grow();
+        hint_ = openSlot(pos);
+        at(hint_) = Interval{candidate, end};
+    }
+    return candidate;
+}
 
 /** One DRAM channel: banks plus a shared bidirectional data bus. */
 class DramChannel
@@ -267,6 +327,7 @@ class DramChannel
 
     DramTiming timing_;
     DramGeometry geometry_;
+    Divisor beat_split_; ///< bytes -> bus beats
     WriteQueuePolicy wq_policy_;
 
     std::vector<Bank> banks_;

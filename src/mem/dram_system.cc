@@ -11,7 +11,9 @@ DramSystem::DramSystem(std::string name, const DramTiming &timing,
                        const DramGeometry &geometry,
                        const WriteQueuePolicy &wq)
     : name_(std::move(name)), geometry_(geometry),
-      linesPerRow_(Lines{geometry.rowBytes / kLineSize})
+      channel_split_(std::max(geometry.channels, 1U)),
+      bank_split_(std::max(geometry.banksPerChannel, 1U)),
+      row_split_(geometry.rowBytes / kLineSize)
 {
     bear_assert(geometry.channels > 0, name_, ": need at least one channel");
     channels_.reserve(geometry.channels);
@@ -26,12 +28,11 @@ DramSystem::mapLine(LineAddr line) const
     // sequential streams spread over all resources; rows are the
     // remaining high-order bits.
     DramCoord coord;
-    coord.channel = static_cast<std::uint32_t>(line % geometry_.channels);
-    std::uint64_t rest = line / geometry_.channels;
-    coord.bank =
-        static_cast<std::uint32_t>(rest % geometry_.banksPerChannel);
-    rest /= geometry_.banksPerChannel;
-    coord.row = rest / linesPerRow_.count();
+    coord.channel = static_cast<std::uint32_t>(channel_split_.rem(line));
+    std::uint64_t rest = channel_split_.quot(line);
+    coord.bank = static_cast<std::uint32_t>(bank_split_.rem(rest));
+    rest = bank_split_.quot(rest);
+    coord.row = row_split_.quot(rest);
     return coord;
 }
 

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/divisor.hh"
 #include "common/types.hh"
 #include "mem/dram_channel.hh"
 #include "mem/dram_config.hh"
@@ -159,7 +160,10 @@ class DramSystem
     std::string name_;
     DramGeometry geometry_;
     std::vector<DramChannel> channels_;
-    Lines linesPerRow_;
+    // mapLine's divisors: channels, banks per channel, lines per row.
+    Divisor channel_split_;
+    Divisor bank_split_;
+    Divisor row_split_;
     std::function<void(LineAddr)> line_write_hook_;
 };
 

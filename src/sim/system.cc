@@ -145,9 +145,26 @@ System::step(CoreId core_id)
         std::push_heap(wb_queue_.begin(), wb_queue_.end(),
                        IssuedLater{});
         wb_next_due_ = std::min(wb_next_due_, wb->issuedAt);
+        dram_cache_->prefetch(wb->line);
     }
 
     core.completeMiss(read.dataReady, ref.dependent);
+}
+
+void
+System::prefetchAhead(CoreId core_id)
+{
+    RefStream &stream = *streams_[core_id];
+    if (const MemRef *later = stream.peek(kLeafLookahead))
+        mapper_.prefetchLeaf(core_id, later->vaddr);
+    const MemRef *next = stream.peek(0);
+    if (!next)
+        return;
+    if (const std::optional<Addr> paddr = mapper_.peek(core_id, next->vaddr)) {
+        const LineAddr line = lineOf(*paddr);
+        hierarchy_->prefetchLlc(line);
+        dram_cache_->prefetch(line);
+    }
 }
 
 void
@@ -188,6 +205,7 @@ System::run(std::uint64_t refs_per_core)
         --quota[best];
         ++refs_done_[best];
         step(best);
+        prefetchAhead(best);
     }
     if (control)
         control->progress.fetch_add(total - published,

@@ -170,6 +170,20 @@ class System
     void step(CoreId core);
 
     /**
+     * Host prefetches for @p core's coming references, issued right
+     * after run() steps it: the radix leaf entry of the reference
+     * kLeafLookahead places ahead, and the L3 set rows and L4 tag
+     * words of the next one.  Reads only peek() and const lookups, so
+     * simulated state and the order of next() calls are untouched
+     * (DESIGN.md §15).
+     */
+    void prefetchAhead(CoreId core);
+
+    /** peek() depth of the page-table prefetch: the third reference
+     *  ahead, so its leaf arrives before the translation needs it. */
+    static constexpr std::size_t kLeafLookahead = 2;
+
+    /**
      * Issue deferred writebacks whose time has come (<= @p now).
      * Called once per simulated reference, so the common nothing-due
      * case is a single compare against the cached min-issuedAt

@@ -49,6 +49,30 @@ loadTrace(const std::string &path)
     return loaded;
 }
 
+Expected<TraceMeta, TraceError>
+readTraceMeta(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        return unexpected(TraceError{TraceErrorKind::Io,
+                                     "cannot open " + path, 0, -1});
+    }
+    std::vector<std::uint8_t> head(kMaxHeaderBytes);
+    in.read(reinterpret_cast<char *>(head.data()),
+            static_cast<std::streamsize>(head.size()));
+    if (in.bad()) {
+        return unexpected(TraceError{TraceErrorKind::Io,
+                                     "cannot read " + path, 0, -1});
+    }
+    const auto got = static_cast<std::size_t>(in.gcount());
+    auto parsed = parseHeader(head.data(), got);
+    if (!parsed.hasValue())
+        return unexpected(parsed.error());
+    if (!parsed->has_value())
+        return unexpected(truncatedHeaderError(got));
+    return (*parsed)->meta;
+}
+
 VectorReplayStream::VectorReplayStream(
     std::shared_ptr<const std::vector<MemRef>> records)
     : records_(std::move(records))
@@ -93,6 +117,16 @@ VectorReplayStream::next()
         ++wrap_count_;
     }
     return records[position_++];
+}
+
+const MemRef *
+VectorReplayStream::peek(std::size_t k)
+{
+    const std::vector<MemRef> &records = *records_;
+    std::size_t i = position_ + k;
+    if (i >= records.size())
+        i %= records.size();
+    return &records[i];
 }
 
 } // namespace bear::trace

@@ -48,6 +48,16 @@ struct LoadedTrace
 [[nodiscard]] Expected<LoadedTrace, TraceError>
 loadTrace(const std::string &path);
 
+/**
+ * Validate and return only @p path's header (parseHeader), reading at
+ * most kMaxHeaderBytes: for callers that need the core count or the
+ * workload before a full load happens elsewhere.  A header error is
+ * the one loadTrace reports for the same bytes; chunks are not read,
+ * so a body loadTrace rejects can still pass here.
+ */
+[[nodiscard]] Expected<TraceMeta, TraceError>
+readTraceMeta(const std::string &path);
+
 /** A recorded core as an endless RefStream (drop-in workload). */
 class VectorReplayStream : public RefStream
 {
@@ -64,6 +74,9 @@ class VectorReplayStream : public RefStream
 
     /** The next recorded reference; wraps at the end of the trace. */
     MemRef next() override;
+
+    /** The record @p k places ahead, wrapping like next(). */
+    const MemRef *peek(std::size_t k) override;
 
     /** Times the stream wrapped back to the first record. */
     std::uint64_t wrapCount() const { return wrap_count_; }

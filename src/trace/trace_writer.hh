@@ -131,6 +131,14 @@ class RecordingStream : public RefStream
         return ref;
     }
 
+    /** Forwards; only next() records, so peeking leaves the file as
+     *  it would be without it. */
+    const MemRef *
+    peek(std::size_t k) override
+    {
+        return inner_->peek(k);
+    }
+
   private:
     std::unique_ptr<RefStream> inner_;
     TraceWriter &writer_;

@@ -33,9 +33,11 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/prefetch.hh"
 #include "common/types.hh"
 
 namespace bear
@@ -48,6 +50,15 @@ class PageMapper
     PageMapper() = default;
 
     /**
+     * Physical frame numbers stay below 2^kFrameBits: physicalFrame()
+     * shifts a 32-bit scramble left by 3.  Lines are therefore below
+     * 2^kPhysLineBits (common/types.hh).
+     */
+    static constexpr unsigned kFrameBits = 35;
+    static_assert(kFrameBits + kPageShift - kLineShift == kPhysLineBits,
+                  "the physical line width follows from the frame width");
+
+    /**
      * Translate a virtual byte address of @p process to a physical byte
      * address, allocating a fresh frame on first touch.
      */
@@ -55,17 +66,47 @@ class PageMapper
     translate(std::uint32_t process, Addr vaddr)
     {
         const std::uint64_t vpage = vaddr >> kPageShift;
-        const std::uint64_t slot = vpage >> kLeafBits;
-        std::uint32_t entry = 0;
-        if (process < spaces_.size()) {
-            const Directory &dir = spaces_[process];
-            if (slot < dir.size() && dir[slot].leaf)
-                entry = (*dir[slot].leaf)[vpage & (kLeafPages - 1)];
-        }
+        const std::uint32_t *slot = leafSlot(process, vpage);
+        const std::uint32_t entry = slot ? *slot : 0;
         const std::uint64_t frame =
             entry != 0 ? entry - 1 : firstTouch(process, vpage);
-        return (physicalFrame(frame) << kPageShift)
-            | (vaddr & (kPageSize - 1));
+        return physicalAddr(frame, vaddr);
+    }
+
+    /**
+     * What translate() would return for a page that already has a
+     * radix leaf entry, without allocating or changing any state;
+     * std::nullopt for a page not touched yet or kept in the hash.
+     * The System's lookahead uses it to prefetch a reference's cache
+     * sets one core-turn ahead (DESIGN.md §15).
+     */
+    std::optional<Addr>
+    peek(std::uint32_t process, Addr vaddr) const
+    {
+        const std::uint32_t *slot = leafSlot(process, vaddr >> kPageShift);
+        if (!slot || *slot == 0)
+            return std::nullopt;
+        return physicalAddr(*slot - 1, vaddr);
+    }
+
+    /** Host prefetch of @p vaddr's radix leaf entry, if it has a leaf. */
+    void
+    prefetchLeaf(std::uint32_t process, Addr vaddr) const
+    {
+        if (const std::uint32_t *slot =
+                leafSlot(process, vaddr >> kPageShift))
+            hostPrefetch(slot);
+    }
+
+    /**
+     * Physical frame of the @p frame-th allocation.  Runs of 8 pages
+     * stay physically contiguous so that spatial streams still enjoy
+     * some row-buffer locality; the runs scatter at that coarser grain.
+     */
+    static std::uint64_t
+    physicalFrame(std::uint64_t frame)
+    {
+        return (scramble(frame >> 3) << 3) | (frame & 7);
     }
 
     /** Number of physical frames allocated so far. */
@@ -129,15 +170,24 @@ class PageMapper
         return x;
     }
 
-    /**
-     * Physical frame of the @p frame-th allocation.  Runs of 8 pages
-     * stay physically contiguous so that spatial streams still enjoy
-     * some row-buffer locality; the runs scatter at that coarser grain.
-     */
-    static std::uint64_t
-    physicalFrame(std::uint64_t frame)
+    static Addr
+    physicalAddr(std::uint64_t frame, Addr vaddr)
     {
-        return (scramble(frame >> 3) << 3) | (frame & 7);
+        return (physicalFrame(frame) << kPageShift)
+            | (vaddr & (kPageSize - 1));
+    }
+
+    /** @p vpage's radix leaf entry, or null when it has no leaf. */
+    const std::uint32_t *
+    leafSlot(std::uint32_t process, std::uint64_t vpage) const
+    {
+        if (process >= spaces_.size())
+            return nullptr;
+        const Directory &dir = spaces_[process];
+        const std::uint64_t slot = vpage >> kLeafBits;
+        if (slot >= dir.size() || !dir[slot].leaf)
+            return nullptr;
+        return &(*dir[slot].leaf)[vpage & (kLeafPages - 1)];
     }
 
     /** Slow path: the frame of a page with no leaf entry yet. */

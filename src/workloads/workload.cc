@@ -121,6 +121,31 @@ WorkloadStream::emit(std::uint64_t line)
 MemRef
 WorkloadStream::next()
 {
+    if (ahead_count_ == 0)
+        return generate();
+    const MemRef ref = ahead_[ahead_head_];
+    ahead_head_ = (ahead_head_ + 1) % kMaxPeek;
+    --ahead_count_;
+    return ref;
+}
+
+const MemRef *
+WorkloadStream::peek(std::size_t k)
+{
+    if (k >= kMaxPeek)
+        return nullptr;
+    // Generation order is consumption order, so filling the ring early
+    // cannot change the sequence next() returns.
+    while (ahead_count_ <= k) {
+        ahead_[(ahead_head_ + ahead_count_) % kMaxPeek] = generate();
+        ++ahead_count_;
+    }
+    return &ahead_[(ahead_head_ + k) % kMaxPeek];
+}
+
+MemRef
+WorkloadStream::generate()
+{
     // Short-term reuse: re-touch a recently referenced line.  These
     // are the accesses that reward Miss Fills (the line was installed
     // moments ago) — naive bypass sacrifices exactly these hits.

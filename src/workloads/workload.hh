@@ -24,6 +24,7 @@
 #ifndef BEAR_WORKLOADS_WORKLOAD_HH
 #define BEAR_WORKLOADS_WORKLOAD_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,6 +90,10 @@ class WorkloadStream : public RefStream
 
     MemRef next() override;
 
+    /** Generates up to @p k + 1 references ahead into a small ring;
+     *  nullptr for k >= kMaxPeek. */
+    const MemRef *peek(std::size_t k) override;
+
     const WorkloadProfile &profile() const { return profile_; }
     std::uint64_t footprintLines() const { return cold_.sizeLines; }
 
@@ -100,6 +105,9 @@ class WorkloadStream : public RefStream
         std::uint64_t cursor = 0;
         bool streaming = false;
     };
+
+    /** The next reference of the generator proper. */
+    MemRef generate();
 
     /** Pick the region for the next run and its starting line. */
     void startRun();
@@ -122,6 +130,11 @@ class WorkloadStream : public RefStream
 
     std::vector<std::uint64_t> reuse_window_;
     std::uint32_t reuse_cursor_ = 0;
+
+    /** Generated but not yet consumed references, oldest first. */
+    std::array<MemRef, kMaxPeek> ahead_{};
+    std::size_t ahead_head_ = 0;
+    std::size_t ahead_count_ = 0;
 };
 
 /** Names of all 16 rate-mode benchmarks (Table 2 order). */

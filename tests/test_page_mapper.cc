@@ -355,3 +355,64 @@ TEST(PageMapper, HighestVaddrDoesNotSizeTheTable)
     const long grown_kb = peakRssKb() - before_kb;
     EXPECT_LT(grown_kb, 4096) << "peak RSS grew " << grown_kb << " KB";
 }
+
+TEST(PageMapper, PhysicalLineWidthCoversTheLargestFrame)
+{
+    // physicalFrame() is a 32-bit bijection shifted left by 3; invert
+    // the scramble of the all-ones word to reach its largest output.
+    const auto inverse = [](std::uint32_t odd) {
+        std::uint32_t inv = odd; // Newton: 5 steps double 3 -> 96 bits
+        for (int i = 0; i < 5; ++i)
+            inv *= 2 - odd * inv;
+        return inv;
+    };
+    std::uint32_t x = 0xFFFFFFFFU * inverse(0x85EBCA77U);
+    x = (x << 16) | (x >> 16);
+    x *= inverse(0x9E3779B1U);
+    const std::uint64_t largest =
+        PageMapper::physicalFrame((std::uint64_t{x} << 3) | 7);
+    EXPECT_EQ(largest, (1ULL << PageMapper::kFrameBits) - 1)
+        << "kFrameBits must be exactly the widest frame";
+    EXPECT_EQ(lineOf((largest << kPageShift) | (kPageSize - 1)),
+              kMaxPhysLine);
+
+    Rng rng(41);
+    for (int i = 0; i < 100000; ++i) {
+        EXPECT_LT(PageMapper::physicalFrame(rng.below(0xFFFFFFFFULL)),
+                  1ULL << PageMapper::kFrameBits);
+    }
+    PageMapper mapper;
+    for (int i = 0; i < 1000; ++i) {
+        const Addr vaddr = rng.next() | (kPageSize - 1);
+        EXPECT_LE(lineOf(mapper.translate(i % 300, vaddr)), kMaxPhysLine);
+    }
+}
+
+TEST(PageMapper, PeekSeesOnlyRadixPagesAndNeverAllocates)
+{
+    PageMapper mapper;
+    Rng rng(5);
+    EXPECT_FALSE(mapper.peek(0, 0x1234).has_value());
+    EXPECT_EQ(mapper.framesAllocated(), 0u);
+
+    // A dense region gets a leaf: every touched page peeks to its
+    // translation, an untouched one to nothing.
+    for (std::uint64_t vpage = 0; vpage < 64; ++vpage)
+        mapper.translate(1, pageAddr(vpage, rng));
+    const std::uint64_t frames = mapper.framesAllocated();
+    for (std::uint64_t vpage = 0; vpage < 64; ++vpage) {
+        const Addr vaddr = pageAddr(vpage, rng);
+        const auto peeked = mapper.peek(1, vaddr);
+        ASSERT_TRUE(peeked.has_value()) << vpage;
+        EXPECT_EQ(*peeked, mapper.translate(1, vaddr));
+        mapper.prefetchLeaf(1, vaddr);
+    }
+    EXPECT_FALSE(mapper.peek(1, pageAddr(100, rng)).has_value());
+    EXPECT_FALSE(mapper.peek(2, pageAddr(3, rng)).has_value());
+
+    // Hashed pages (a process id past the radix range) never peek.
+    mapper.translate(4000, 0x5000);
+    EXPECT_FALSE(mapper.peek(4000, 0x5000).has_value());
+    mapper.prefetchLeaf(4000, 0x5000);
+    EXPECT_EQ(mapper.framesAllocated(), frames + 1);
+}

@@ -92,13 +92,23 @@ namespace
 template <typename Oracle>
 void
 fuzzAgainstOracle(Oracle oracle, TagRepl repl, std::uint64_t sets,
-                  std::uint32_t ways)
+                  std::uint32_t ways, std::uint64_t max_tag)
 {
-    TagStore store(TagStoreConfig{sets, ways, repl, 1, 0});
-    std::uint64_t next_tag = 1;
+    TagStore store(TagStoreConfig{sets, ways, repl, 1, 0, max_tag});
+    // Tags count down from the declared maximum, so the narrow store
+    // holds full 32-bit values and the wide one values above 2^32.
+    std::uint64_t next_tag = max_tag;
+    // Every installed tag must probe back to the way it went into.
+    const auto install = [&](std::uint64_t set, std::uint32_t way) {
+        store.install(set, way, next_tag);
+        const TagProbe probe = store.probe(set, next_tag);
+        EXPECT_TRUE(probe.hit && probe.way == way)
+            << "tag " << next_tag << " in set " << set << " way " << way;
+        --next_tag;
+    };
     for (std::uint64_t set = 0; set < sets; ++set) {
         for (std::uint32_t w = 0; w < ways; ++w) {
-            store.install(set, w, next_tag++);
+            install(set, w);
             store.touch(set, w);
             oracle.touch(set, w);
         }
@@ -117,13 +127,13 @@ fuzzAgainstOracle(Oracle oracle, TagRepl repl, std::uint64_t sets,
         case 1:
             store.invalidate(set, way);
             oracle.invalidate(set, way);
-            store.install(set, way, next_tag++);
+            install(set, way);
             break;
         default: {
             const std::uint32_t victim = store.victimWay(set);
             ASSERT_EQ(victim, oracle.victim(set))
                 << "step " << step << ", set " << set;
-            store.install(set, victim, next_tag++);
+            install(set, victim);
             store.touch(set, victim);
             oracle.touch(set, victim);
             ++victims;
@@ -140,14 +150,18 @@ TEST(TagStoreOracle, SeededFuzzMatchesReferencePolicies)
 {
     // 8 ways: one byte of mask per set.  29 ways (LH-Cache's
     // associativity): 32-bit masks, two sets per word, odd set count.
+    // Each geometry runs with 32-bit and with 64-bit tag words.
     for (const auto &[sets, ways] :
          {std::pair<std::uint64_t, std::uint32_t>{16, 8}, {5, 29}}) {
-        SCOPED_TRACE(testing::Message() << sets << "x" << ways);
-        fuzzAgainstOracle(LruPolicy(sets, ways), TagRepl::Lru, sets,
-                          ways);
-        fuzzAgainstOracle(RandomPolicy(sets, ways, 1), TagRepl::Random,
-                          sets, ways);
-        fuzzAgainstOracle(NruPolicy(sets, ways), TagRepl::Nru, sets,
-                          ways);
+        for (const std::uint64_t max_tag : {0xFFFFFFFFULL, ~0ULL}) {
+            SCOPED_TRACE(testing::Message() << sets << "x" << ways
+                                            << " maxTag " << max_tag);
+            fuzzAgainstOracle(LruPolicy(sets, ways), TagRepl::Lru, sets,
+                              ways, max_tag);
+            fuzzAgainstOracle(RandomPolicy(sets, ways, 1),
+                              TagRepl::Random, sets, ways, max_tag);
+            fuzzAgainstOracle(NruPolicy(sets, ways), TagRepl::Nru, sets,
+                              ways, max_tag);
+        }
     }
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/types.hh"
 #include "dramcache/tag_store.hh"
 
 using namespace bear;
@@ -252,4 +253,48 @@ TEST(TagStore, PlanesAreCacheLineAligned)
     EXPECT_EQ(misalign(store.tagPlane()), 0u);
     EXPECT_EQ(misalign(store.validPlane()), 0u);
     EXPECT_EQ(misalign(store.dirtyPlane()), 0u);
+    TagStore narrow(TagStoreConfig{7, 3, TagRepl::Lru, 1, 0, 0xFFFF});
+    ASSERT_EQ(narrow.tagWordBytes(), 4u);
+    EXPECT_EQ(misalign(narrow.tagPlane()), 0u);
+}
+
+TEST(TagStore, TagWordWidthFollowsTheDeclaredMaximum)
+{
+    const auto store = [](std::uint64_t max_tag) {
+        return TagStore(TagStoreConfig{16, 2, TagRepl::None, 1, 0,
+                                       max_tag});
+    };
+    EXPECT_EQ(makeStore(16, 2, TagRepl::None).tagWordBytes(), 8u)
+        << "the default keeps 64-bit words";
+    EXPECT_EQ(store(0xFFFFFFFFULL).tagWordBytes(), 4u);
+    EXPECT_EQ(store(0x100000000ULL).tagWordBytes(), 8u);
+    // A direct-mapped L4 of 1024 sets or more always fits in 32 bits.
+    EXPECT_LE(kMaxPhysLine / 1024, 0xFFFFFFFFULL);
+}
+
+TEST(TagStore, NarrowWordsKeepEveryTagUpToTheMaximum)
+{
+    TagStore store(TagStoreConfig{4, 2, TagRepl::None, 1, 0,
+                                  0xFFFFFFFFULL});
+    store.install(0, 0, 0xFFFFFFFFULL);
+    store.install(0, 1, 0);
+    store.install(3, 1, 0x80000001ULL);
+    EXPECT_EQ(store.tagAt(0, 0), 0xFFFFFFFFULL);
+    EXPECT_EQ(store.probe(0, 0xFFFFFFFFULL).way, 0u);
+    EXPECT_EQ(store.probe(0, 0).way, 1u);
+    EXPECT_TRUE(store.probe(3, 0x80000001ULL).hit);
+    // A wider probe tag never matches its 32-bit truncation.
+    EXPECT_FALSE(store.probe(0, 0x1FFFFFFFFULL).hit);
+    EXPECT_FALSE(store.probe(3, 0x180000001ULL).hit);
+}
+
+TEST(TagStoreDeathTest, InstallAboveTheDeclaredMaximumPanics)
+{
+    TagStore store(TagStoreConfig{8, 1, TagRepl::None, 1, 0, 1000});
+    store.install(0, 0, 1000);
+    EXPECT_DEATH(store.install(1, 0, 1001), "exceeds the declared maximum");
+    TagStore narrow(TagStoreConfig{8, 1, TagRepl::None, 1, 0,
+                                   0xFFFFFFFFULL});
+    EXPECT_DEATH(narrow.install(1, 0, 0x100000000ULL),
+                 "exceeds the declared maximum");
 }

@@ -918,3 +918,56 @@ TEST(TraceEnv, TracePathsParsedAndEmptyRejected)
     unsetenv("BEAR_TRACE_IN");
     unsetenv("BEAR_TRACE_OUT");
 }
+
+TEST(TraceMetaOnly, AcceptsAFileTruncatedRightAfterItsHeader)
+{
+    const std::string sample = writeSampleTrace("meta-full", 2, 300);
+    const std::vector<char> bytes = slurp(sample);
+    const std::string path = tempPath("meta-header-only");
+    spit(path, std::vector<char>(bytes.begin(),
+                                 bytes.begin() + kSampleHeaderBytes));
+
+    auto full = readTraceMeta(sample);
+    auto header_only = readTraceMeta(path);
+    ASSERT_TRUE(full.hasValue()) << full.error().message();
+    ASSERT_TRUE(header_only.hasValue()) << header_only.error().message();
+    EXPECT_EQ(header_only->workload, "mcf");
+    EXPECT_EQ(header_only->coreCount, 2u);
+    EXPECT_EQ(header_only->seed, full->seed);
+    EXPECT_EQ(header_only->recordCount, 600u);
+    EXPECT_EQ(full->recordCount, 600u);
+
+    // The full decode still rejects the body-less file.
+    EXPECT_FALSE(loadTrace(path).hasValue());
+}
+
+TEST(TraceMetaOnly, HeaderErrorsMatchTheFullLoad)
+{
+    const std::vector<char> bytes = slurp(writeSampleTrace("meta-bad", 1, 50));
+    std::vector<std::vector<char>> cases;
+    cases.emplace_back();                                  // empty
+    cases.emplace_back(bytes.begin(), bytes.begin() + 4);  // in the magic
+    cases.emplace_back(bytes.begin(),
+                       bytes.begin() + kSampleHeaderBytes - 1); // in the CRC
+    cases.push_back(bytes);
+    cases.back()[0] = 'X';                                 // bad magic
+    cases.push_back(bytes);
+    cases.back()[kHeaderFixedBytes] ^= 0x20;               // header CRC
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "case " << i);
+        const std::string path = tempPath("meta-case");
+        spit(path, cases[i]);
+        auto meta = readTraceMeta(path);
+        auto loaded = loadTrace(path);
+        ASSERT_FALSE(meta.hasValue());
+        ASSERT_FALSE(loaded.hasValue());
+        EXPECT_EQ(meta.error().message(), loaded.error().message());
+        EXPECT_EQ(meta.error().offset, loaded.error().offset);
+    }
+
+    const std::string missing = tempPath("meta-missing");
+    auto meta = readTraceMeta(missing);
+    ASSERT_FALSE(meta.hasValue());
+    EXPECT_EQ(meta.error().kind, TraceErrorKind::Io);
+    EXPECT_EQ(meta.error().detail, "cannot open " + missing);
+}

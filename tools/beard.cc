@@ -85,21 +85,22 @@ designOrDie(const std::string &name)
 int
 runOffline(const std::string &trace_path, const std::string &design)
 {
-    auto loaded = bear::trace::loadTrace(trace_path);
-    if (!loaded.hasValue()) {
+    // The header alone names the cores and the workload; the Runner
+    // below decodes the whole file once, in its constructor.
+    auto meta = bear::trace::readTraceMeta(trace_path);
+    if (!meta.hasValue()) {
         std::fprintf(stderr, "beard: %s: %s\n", trace_path.c_str(),
-                     loaded.error().message().c_str());
+                     meta.error().message().c_str());
         return 1;
     }
-    const bear::trace::TraceMeta meta = loaded->meta;
 
     bear::RunnerOptions options = bear::RunnerOptions::fromEnv();
-    options.cores = meta.coreCount;
+    options.cores = meta->coreCount;
     options.traceInPath = trace_path;
 
     bear::Runner runner(options);
     const bear::RunResult result =
-        runner.runRate(designOrDie(design), meta.workload);
+        runner.runRate(designOrDie(design), meta->workload);
     std::printf("%s\n", bear::runResultToJson(result).c_str());
     return 0;
 }

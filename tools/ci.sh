@@ -30,7 +30,9 @@
 #      at the repo root and fail on malformed or empty output; then
 #      bench_gate compares the fresh micro snapshot against the
 #      committed baseline and fails on a >25% nsPerOp regression of
-#      any benchmark present in both
+#      any benchmark present in both (before the runs, objdump must
+#      find prefetch instructions in the lookahead's hooks, DESIGN.md
+#      §15; skipped with a notice when objdump is absent)
 #  10. repository benchmark self-test: perfbench/run.py --selftest
 #      builds perfbench/ (which calls the library only through its
 #      public API) and runs every workload at tiny budgets, so an API
@@ -170,6 +172,28 @@ fi
 echo "=== [9/12] benchmark snapshots (Release micro + fig12)"
 cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-rel -j "${jobs}"
+# The lookahead's host prefetches must survive optimisation: a hook
+# that compiles to a bare `ret` still passes every test, so check the
+# disassembly (DESIGN.md §15).  System::prefetchAhead may be inlined
+# into System::run, so either body counts.
+if command -v objdump >/dev/null; then
+    prefetches_in() {
+        objdump -d -C --no-show-raw-insn build-rel/src/libbear.a \
+            | awk -v want="$1" '
+                /^[0-9a-f]+ <.*>:$/ { inside = ($0 ~ want) }
+                inside && /\tprefetch/ { n++ }
+                END { print n + 0 }'
+    }
+    for hook in '<bear::AlloyCache::prefetch\(' \
+                '<bear::System::(prefetchAhead|run)\('; do
+        if [[ "$(prefetches_in "${hook}")" -eq 0 ]]; then
+            echo "bench: no prefetch instruction in ${hook#<}" >&2
+            exit 1
+        fi
+    done
+else
+    echo "objdump not found; skipping the prefetch-hook disassembly check" >&2
+fi
 # Stash the committed micro snapshot before the bench run overwrites
 # it: it is the baseline the regression gate compares against.
 if [[ -s BENCH_micro.json ]]; then
